@@ -275,25 +275,6 @@ fn bench_vote_plane(c: &mut Criterion) {
         })
     });
 
-    // The copy-detection LLR accumulation over synthetic co-claim entries
-    // shaped like a dense source pair (branchless SIMD compare/blend vs the
-    // branchy scalar loop).
-    let entries: Vec<(u32, u32, u32)> = (0..4096)
-        .map(|k| ((k % 1024) as u32, (k % 5) as u32, ((k / 3) % 5) as u32))
-        .collect();
-    let selection: Vec<usize> = (0..1024).map(|i| i % 5).collect();
-    group.bench_function(
-        format!("accumulate_pair_llr/kernel_{}", kernels::backend_name()),
-        |b| {
-            kernels::force_backend(dispatched);
-            b.iter(|| kernels::accumulate_pair_llr(&entries, &selection, -0.3, -0.05))
-        },
-    );
-    group.bench_function("accumulate_pair_llr/kernel_scalar", |b| {
-        kernels::force_backend(Backend::Scalar);
-        b.iter(|| kernels::accumulate_pair_llr(&entries, &selection, -0.3, -0.05));
-        kernels::force_backend(dispatched);
-    });
     group.finish();
 }
 

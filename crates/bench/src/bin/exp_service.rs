@@ -1,7 +1,8 @@
 //! Online-service drill: stream a mutation sequence through the
 //! [`service::FusionService`] shell the way a deployment would — a producer
 //! emitting day diffs over a channel, one ingest thread owning the service,
-//! reader threads hammering the published state throughout — and report
+//! reader threads polling the published state at a fixed rate throughout —
+//! and report
 //! per-seal cost plus the warm-vs-cold convergence check on the final day.
 //!
 //! This is the serving-side companion of `exp_delta`: where that binary
@@ -18,8 +19,13 @@ use fusion::{all_methods, FusionOptions, FusionProblem};
 use service::{diff_ops, ApplyOutcome, FusionService, Operation, SealReport};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 const NUM_READERS: usize = 3;
+/// Reads per second each reader is scheduled to issue. Readers sleep until
+/// each read is due, so they leave the cores to the ingest thread instead of
+/// spinning on the published slot.
+const READS_PER_SECOND: f64 = 1_000.0;
 
 fn main() {
     let args = ExpArgs::from_env();
@@ -40,7 +46,8 @@ fn main() {
     let reads = Arc::new(AtomicUsize::new(0));
 
     // Producer (this thread) → channel → ingest thread that owns the
-    // service; readers poll the published slot the whole time.
+    // service; readers poll the published slot on a fixed schedule the
+    // whole time.
     let (tx, rx) = mpsc::channel::<Vec<Operation>>();
     let ingest = std::thread::spawn(move || {
         let mut service = service;
@@ -61,8 +68,15 @@ fn main() {
         let stop = Arc::clone(&stop);
         let reads = Arc::clone(&reads);
         readers.push(std::thread::spawn(move || {
+            let period = Duration::from_secs_f64(1.0 / READS_PER_SECOND);
+            let mut due = Instant::now();
             let mut last_version = 0u64;
             while !stop.load(Ordering::Relaxed) {
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
+                due += period;
                 let state = reader.state();
                 assert!(state.version() >= last_version, "version went backwards");
                 last_version = state.version();
@@ -126,8 +140,10 @@ fn main() {
         stats.mean_seal().as_secs_f64() * 1e3
     );
     println!(
-        "Readers: {} lock-cheap reads served during ingest",
-        reads.load(Ordering::Relaxed)
+        "Readers: {} lock-cheap reads served during ingest ({} readers at {} reads/s each)",
+        reads.load(Ordering::Relaxed),
+        NUM_READERS,
+        READS_PER_SECOND
     );
 
     // Convergence: the final published day must carry the cold batch bits

@@ -9,10 +9,9 @@
 //! in O(1) with a single multiply-free index computation.
 
 /// Row-major strict-upper-triangle slot of the pair `(lo, hi)`; requires
-/// `lo < hi < n`. Shared by [`CopyMatrix`] and the co-claim index so the two
-/// layouts can never drift apart.
+/// `lo < hi < n`.
 #[inline]
-pub(crate) fn triangular_slot(n: usize, lo: usize, hi: usize) -> usize {
+fn triangular_slot(n: usize, lo: usize, hi: usize) -> usize {
     lo * (2 * n - lo - 1) / 2 + (hi - lo - 1)
 }
 

@@ -1,23 +1,20 @@
 //! AVX2/FMA kernel implementations (4 × `f64` lanes).
 //!
 //! Bit-identity strategy: every kernel vectorizes across **independent**
-//! lanes — four plane slots or four co-claim entries at a time — and
-//! performs, per lane, exactly the scalar operation sequence of
-//! [`super::scalar`]. The `max`/`min` tree reductions in
-//! [`normalize_by_max`] / [`rescale_to_unit`] assume non-NaN input
-//! (`vmaxpd` propagates NaN where `f64::max` ignores it); the vote planes
-//! never hold NaN, and the dispatch wrappers document the precondition.
-//! In [`accumulate_pair_llr`], adding a blended neutral `+0.0` instead of
-//! branching is bitwise exact because an IEEE-754 sum that starts at `+0.0`
-//! can never become `-0.0` (only `-0.0 + -0.0` is `-0.0`).
+//! lanes — four plane slots at a time — and performs, per lane, exactly
+//! the scalar operation sequence of [`super::scalar`]. The `max`/`min` tree
+//! reductions in [`normalize_by_max`] / [`rescale_to_unit`] assume non-NaN
+//! input (`vmaxpd` propagates NaN where `f64::max` ignores it); the vote
+//! planes never hold NaN, and the dispatch wrappers document the
+//! precondition.
 //!
 //! This module deliberately implements **only** the kernels that beat the
 //! scalar fallback on the warm-arena workload (the ROADMAP's "only keep it
 //! if it beats the autovectorizer" gate, measured by the `vote_plane`
-//! criterion bench): the contiguous elementwise rescalers and the branchless
-//! co-claim LLR accumulation. Gather-based lock-step variants of the CSR
-//! walks (`accumulate_weighted_votes`, `argmax_into`, the claim-score sums)
-//! were built, measured 1.1–2× *slower* than the unrolled scalar kernels —
+//! criterion bench): the contiguous elementwise rescalers. Gather-based
+//! lock-step variants of the CSR walks (`accumulate_weighted_votes`,
+//! `argmax_into`, the claim-score sums) were built, measured 1.1–2×
+//! *slower* than the unrolled scalar kernels —
 //! the provider/candidate rows of the Stock/Flight problems are too short
 //! and ragged for `vpgatherdpd` lock-stepping to pay — and dropped; those
 //! entry points always dispatch to [`super::scalar`].
@@ -105,63 +102,4 @@ pub(super) unsafe fn rescale_to_unit(xs: &mut [f64]) {
     } else {
         xs.fill(0.5);
     }
-}
-
-/// # Safety
-/// Requires AVX2 and FMA CPU support (guaranteed by the dispatcher).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn accumulate_pair_llr(
-    entries: &[(u32, u32, u32)],
-    selection: &[usize],
-    llr_same_false: f64,
-    llr_diff: f64,
-) -> f64 {
-    let a_v = _mm256_set1_pd(llr_same_false);
-    let b_v = _mm256_set1_pd(llr_diff);
-    let zero = _mm256_setzero_pd();
-    let mut llr = 0.0;
-    let mut buf = [0.0f64; 4];
-    let mut chunks = entries.chunks_exact(4);
-    for ch in &mut chunks {
-        let sel = |e: &(u32, u32, u32)| selection.get(e.0 as usize).copied().unwrap_or(0) as i64;
-        let ca_v = _mm256_setr_epi64x(
-            ch[0].1 as i64,
-            ch[1].1 as i64,
-            ch[2].1 as i64,
-            ch[3].1 as i64,
-        );
-        let cb_v = _mm256_setr_epi64x(
-            ch[0].2 as i64,
-            ch[1].2 as i64,
-            ch[2].2 as i64,
-            ch[3].2 as i64,
-        );
-        let sel_v = _mm256_setr_epi64x(sel(&ch[0]), sel(&ch[1]), sel(&ch[2]), sel(&ch[3]));
-        let same = _mm256_castsi256_pd(_mm256_cmpeq_epi64(ca_v, cb_v));
-        let is_sel = _mm256_castsi256_pd(_mm256_cmpeq_epi64(ca_v, sel_v));
-        // Branchless per-entry increment: llr_diff when the pair disagrees,
-        // else 0 when the shared value is the selected one, else
-        // llr_same_false. Adding the neutral +0.0 instead of skipping is
-        // bitwise exact because the accumulator can never be -0.0 (it starts
-        // at +0.0 and the increments are never -0.0).
-        let same_inc = _mm256_blendv_pd(a_v, zero, is_sel);
-        let inc = _mm256_blendv_pd(b_v, same_inc, same);
-        _mm256_storeu_pd(buf.as_mut_ptr(), inc);
-        llr += buf[0];
-        llr += buf[1];
-        llr += buf[2];
-        llr += buf[3];
-    }
-    for &(item, ca, cb) in chunks.remainder() {
-        if ca == cb {
-            let selected = selection.get(item as usize).copied().unwrap_or(0) as u32;
-            if ca == selected {
-                continue;
-            }
-            llr += llr_same_false;
-        } else {
-            llr += llr_diff;
-        }
-    }
-    llr
 }

@@ -6,10 +6,8 @@
 //! highest-voted candidate per item (the truth selection the precision of
 //! Table 7 scores), normalizing vote or trust vectors (the web-link and IR
 //! methods of Sections 3.1–3.2), averaging per-claim scores into source
-//! trust (the Bayesian methods of Section 3.3), and re-scoring the
-//! per-pair copy likelihood (the copy detection of Section 3.4 that
-//! dominates ACCUCOPY's Figure-12 runtime). PR 3–5 flattened those loops
-//! onto CSR/SoA layouts; this module puts every one of them behind one
+//! trust (the Bayesian methods of Section 3.3). Those loops run over
+//! CSR/SoA layouts; this module puts every one of them behind one
 //! dispatched kernel layer — explicit AVX2/FMA implementations where they
 //! beat the compiler, tuned unrolled-scalar kernels where lock-step SIMD
 //! lost the ROADMAP's "only keep it if it beats the autovectorizer" bench
@@ -30,9 +28,8 @@
 //!
 //! Every SIMD kernel produces **bit-identical** results to its scalar
 //! fallback in [`scalar`]: vectorization is across *independent* lanes
-//! (plane slots, co-claim entries), never across the terms of one
-//! floating-point sum, so each lane performs exactly the scalar
-//! operation sequence. The reductions in [`normalize_by_max`] and
+//! (plane slots), never across the terms of one floating-point sum, so
+//! each lane performs exactly the scalar operation sequence. The reductions in [`normalize_by_max`] and
 //! [`rescale_to_unit`] reassociate a `max`/`min` fold, which is exact for
 //! non-NaN inputs (the vote planes never hold NaN); everything downstream of
 //! the reduced value is elementwise IEEE arithmetic. The contract is pinned
@@ -311,26 +308,6 @@ pub fn sum_claim_scores_per_attr(
 ) -> f64 {
     debug_assert_eq!(attr_sum.len(), attr_count.len());
     scalar::sum_claim_scores_per_attr(claims, offsets, values, item_attrs, attr_sum, attr_count)
-}
-
-/// Accumulate the copy-detection log-likelihood ratio of one source pair
-/// over its co-claim entries `(item, cand_a, cand_b)`: sharing a value the
-/// current selection calls false adds `llr_same_false`, disagreeing adds
-/// `llr_diff`, sharing the selected value is neutral (Section 3.4 / Dong et
-/// al.). Entries are accumulated in order; out-of-range items read
-/// selection 0, matching [`CoClaims::rescore`](crate::methods::CoClaims).
-pub fn accumulate_pair_llr(
-    entries: &[(u32, u32, u32)],
-    selection: &[usize],
-    llr_same_false: f64,
-    llr_diff: f64,
-) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2Fma {
-        // SAFETY: backend gate as above.
-        return unsafe { avx2::accumulate_pair_llr(entries, selection, llr_same_false, llr_diff) };
-    }
-    scalar::accumulate_pair_llr(entries, selection, llr_same_false, llr_diff)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Portable scalar fallback kernels.
 //!
 //! These are the reference implementations every SIMD backend must match
-//! **bit-for-bit**: per-candidate / per-claim / per-entry accumulation order
-//! is exactly the order the pre-kernel method code used, so swapping the old
+//! **bit-for-bit**: per-candidate / per-claim accumulation order is
+//! exactly the order the pre-kernel method code used, so swapping the old
 //! inline loops for these kernels cannot move a single ULP. The only manual
 //! unrolling is in the `max`/`min` reductions, where four independent
 //! accumulators break the serial dependency chain — exact for non-NaN input
@@ -204,26 +204,4 @@ pub fn sum_claim_scores_per_attr(
         attr_count[a] += 1;
     }
     sum
-}
-
-/// See [`super::accumulate_pair_llr`].
-pub fn accumulate_pair_llr(
-    entries: &[(u32, u32, u32)],
-    selection: &[usize],
-    llr_same_false: f64,
-    llr_diff: f64,
-) -> f64 {
-    let mut llr = 0.0;
-    for &(item, ca, cb) in entries {
-        if ca == cb {
-            let selected = selection.get(item as usize).copied().unwrap_or(0) as u32;
-            if ca == selected {
-                continue;
-            }
-            llr += llr_same_false;
-        } else {
-            llr += llr_diff;
-        }
-    }
-    llr
 }

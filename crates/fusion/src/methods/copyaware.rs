@@ -17,23 +17,30 @@
 //!
 //! # Hot-path layout
 //!
-//! Copy detection dominates the method's runtime, so the implementation is
-//! built around two dense structures instead of per-round tree maps:
+//! Copy detection and the independence-discounted vote dominate the
+//! method's runtime, so both run over dense per-run tables instead of
+//! per-round tree maps:
 //!
-//! * [`CopyMatrix`] — a flat triangular array answering pair-probability
-//!   lookups in O(1) (the inner vote loop performs one lookup per
-//!   (provider, earlier-provider) combination);
-//! * [`CoClaims`] — a CSR-style index of the items each source pair
-//!   co-claims, built **once** per run. Which items two sources share never
-//!   changes between rounds; only the current selection decides whether a
-//!   shared value counts as false. Each round therefore walks the flat
-//!   co-claim entries and adds one of two per-pair-constant log-likelihood
-//!   increments, instead of rebuilding an S×I claim table and re-deriving
-//!   the increments (two `ln` calls) per shared item.
+//! * [`CoClaims`] — an item × source table of claimed candidates (4 bytes
+//!   a slot, `u32::MAX` for no claim), built **once** per run. Which items
+//!   two sources share never changes between rounds; only the current
+//!   selection decides whether a shared value counts as false. Each round
+//!   walks every source `a`'s item-ordered claim list once and, per claimed
+//!   item, reads the item's table row for all later sources `b` at once,
+//!   adding one of two per-pair-constant log-likelihood increments to each
+//!   pair that shares the item. Every pair's sum thus runs over its shared
+//!   items in item order, and nothing per shared item is stored: the index
+//!   is `num_items × num_sources` slots however much the sources overlap.
+//! * [`CopyMatrix`] — a flat triangular array of the pair probabilities.
+//!   Each round expands it into a square table of independence factors
+//!   `1 - copy_rate * p`, one row per source, so the vote loop's one factor
+//!   per (provider, earlier provider) combination is a single row read.
+//! * Accuracy ranks — each round ranks the sources by accuracy once per
+//!   attribute; a candidate's providers are put in voting order by setting
+//!   their rank bits and reading the set bits back in rank order.
 
 use crate::chunking::{self, ChunkPlan, ChunkPlans};
-use crate::copymatrix::{triangular_slot, CopyMatrix};
-use crate::kernels;
+use crate::copymatrix::CopyMatrix;
 use crate::methods::bayesian::{clamp_trust, softmax_into, update_trust_from_scores, Accu};
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
@@ -87,20 +94,14 @@ impl FusionMethod for AccuCopy {
             .then(|| CoClaims::build(problem, self.min_shared_items));
         let plans = ChunkPlans::from_options(&opts, problem);
         let (item_plan, source_plan) = ChunkPlans::split(&plans);
-        // Pair axis plan for the per-round rescoring walk, balanced by each
-        // pair's co-claim entry count.
-        let pair_plan = match (&plans, &co_claims) {
-            (Some(_), Some(co)) if co.num_pairs() >= 2 => Some(ChunkPlan::balanced_by_extents(
-                &co.offsets,
-                opts.intra_day_chunks.min(co.num_pairs()),
-            )),
+        // Source axis plan for the per-round rescoring walk.
+        let walk_plan = match (&plans, &co_claims) {
+            (Some(_), Some(co)) => Some(co.walk_plan(problem, opts.intra_day_chunks)),
             _ => None,
         };
         // Reusable scratch: the probability plane, the per-item vote buffers,
         // the accuracy-ordered provider list, the per-source error rates, the
-        // detected-copying matrix, and the trust accumulators — no
-        // allocations inside the rounds, and none at all once the scratch is
-        // warm.
+        // detected-copying matrix, and the trust accumulators.
         let FusionScratch {
             plane: probabilities,
             cand_a: votes,
@@ -115,19 +116,30 @@ impl FusionMethod for AccuCopy {
         error_rates.clear();
         error_rates.resize(problem.num_sources(), 0.0);
 
+        let num_sources = problem.num_sources();
+        // Per-round tables of the vote loop: each attribute's accuracy order
+        // of the sources, every source's rank in it, and the independence
+        // factor `1 - copy_rate * p` of every ordered source pair.
+        let mut orders: Vec<u32> = (0..problem.num_attrs)
+            .flat_map(|_| 0..num_sources as u32)
+            .collect();
+        let mut ranks = vec![0u32; num_sources * problem.num_attrs];
+        let mut factors = vec![0.0; num_sources * num_sources];
+
         let mut trust = initial_trust(problem, &opts, self.base.initial_accuracy);
         probabilities.reset_for(problem);
         // Start from the dominant-value selection for the first copy-detection
         // pass.
         let mut selection = vec![0usize; problem.num_items()];
-        // Per-item (votes, adjusted, ordered_providers) scratch. The
-        // sequential path keeps reusing the warm FusionScratch buffers (taken
-        // here, restored below); chunked runs allocate a fresh triple per
-        // chunk.
+        // Per-item (votes, adjusted, ordered_providers, rank bits) scratch.
+        // The sequential path keeps reusing the warm FusionScratch buffers
+        // (taken here, restored below); chunked runs allocate fresh buffers
+        // per chunk.
         let mut item_scratch = (
             std::mem::take(votes),
             std::mem::take(adjusted),
             std::mem::take(ordered_providers),
+            Vec::new(),
         );
 
         let mut rounds = 0usize;
@@ -144,20 +156,45 @@ impl FusionMethod for AccuCopy {
                         error_rates,
                         detected,
                         source_plan,
-                        pair_plan.as_ref(),
+                        walk_plan.as_ref(),
                     );
                     detected
                 }
                 (None, None) => unreachable!("co-claims are built whenever no oracle is given"),
             };
-            let trust_r = &trust;
+            for (s, row) in factors.chunks_exact_mut(num_sources.max(1)).enumerate() {
+                for (e, factor) in row.iter_mut().enumerate() {
+                    *factor = 1.0 - self.copy_rate * copy_probs.get(s, e);
+                }
+            }
+            // Providers are voted in decreasing accuracy. The index tiebreak
+            // makes this a strict total order over distinct sources, so a
+            // candidate's providers listed in rank order are its providers
+            // sorted by this comparison.
+            let per_attr = orders
+                .chunks_exact_mut(num_sources.max(1))
+                .zip(ranks.chunks_exact_mut(num_sources.max(1)));
+            for (attr, (order, rank)) in per_attr.enumerate() {
+                order.sort_unstable_by(|&a, &b| {
+                    trust
+                        .of(b as usize, attr)
+                        .partial_cmp(&trust.of(a as usize, attr))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                for (r, &s) in order.iter().enumerate() {
+                    rank[s as usize] = r as u32;
+                }
+            }
+            let (trust_r, factors_r) = (&trust, &factors);
+            let (orders_r, ranks_r) = (&orders, &ranks);
             chunking::for_each_item(
                 probabilities,
                 item_plan,
                 &mut item_scratch,
                 Default::default,
-                |i, out, scratch: &mut (Vec<f64>, Vec<f64>, Vec<u32>)| {
-                    let (votes, adjusted, ordered_providers) = scratch;
+                |i, out, scratch: &mut (Vec<f64>, Vec<f64>, Vec<u32>, Vec<u64>)| {
+                    let (votes, adjusted, ordered_providers, ranked) = scratch;
                     let item = problem.item(i);
                     let num_candidates = item.num_candidates();
                     let attr = item.attr();
@@ -168,25 +205,30 @@ impl FusionMethod for AccuCopy {
                     // Independence-discounted vote: order providers by
                     // accuracy and discount each by the probability that it
                     // copied from an earlier provider of the same value.
+                    let order = &orders_r[attr * num_sources..(attr + 1) * num_sources];
+                    let rank = &ranks_r[attr * num_sources..(attr + 1) * num_sources];
+                    ranked.resize(num_sources.div_ceil(64), 0);
                     for (c, cand) in item.candidates().enumerate() {
+                        // Set each provider's rank bit, then list the set
+                        // bits in increasing rank (clearing them again).
+                        for &s in cand.providers() {
+                            let r = rank[s as usize] as usize;
+                            ranked[r / 64] |= 1 << (r % 64);
+                        }
                         ordered_providers.clear();
-                        ordered_providers.extend_from_slice(cand.providers());
-                        // The index tiebreak makes the order a strict total
-                        // order over distinct provider indices, so the
-                        // unstable sort is deterministic.
-                        ordered_providers.sort_unstable_by(|&a, &b| {
-                            trust_r
-                                .of(b as usize, attr)
-                                .partial_cmp(&trust_r.of(a as usize, attr))
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.cmp(&b))
-                        });
+                        for (w, word) in ranked.iter_mut().enumerate() {
+                            while *word != 0 {
+                                let r = w * 64 + word.trailing_zeros() as usize;
+                                ordered_providers.push(order[r]);
+                                *word &= *word - 1;
+                            }
+                        }
                         let mut vote = 0.0;
                         for (k, &s) in ordered_providers.iter().enumerate() {
+                            let row = &factors_r[s as usize * num_sources..][..num_sources];
                             let mut independent = 1.0;
                             for &earlier in &ordered_providers[..k] {
-                                let p = copy_probs.get(s as usize, earlier as usize);
-                                independent *= 1.0 - self.copy_rate * p;
+                                independent *= row[earlier as usize];
                             }
                             vote += independent
                                 * self
@@ -232,102 +274,79 @@ impl FusionMethod for AccuCopy {
     }
 }
 
-/// CSR-style index of the items each source pair co-claims.
+/// Index of the items each source pair co-claims.
 ///
-/// For every unordered source pair that shares at least `min_shared_items`
-/// items, the entries slice `entries[offsets[p]..offsets[p + 1]]` lists the
-/// shared items in increasing item order as `(item, candidate of the
-/// lower-indexed source, candidate of the higher-indexed source)`. The
-/// structure depends only on the prepared problem, never on the current
-/// selection, so a fusion run builds it once and re-scores it every round.
+/// Holds a dense item × source table of claimed candidates and the list of
+/// unordered source pairs that share at least `min_shared_items` items.
+/// Walking source `a`'s claim list (which is in item order) and reading each
+/// claimed item's table row visits every item `a` shares with each later
+/// source `b`, in increasing item order — the order the scoring loop (and
+/// its floating-point accumulation) expects. The structure depends only on
+/// the prepared problem, never on the current selection, so a fusion run
+/// builds it once and re-scores it every round.
 #[derive(Debug, Clone)]
 pub struct CoClaims {
     /// Scored pairs `(a, b)` with `a < b`, in lexicographic order.
     pairs: Vec<(u32, u32)>,
-    /// Per-pair extents into `entries` (`pairs.len() + 1` offsets).
-    offsets: Vec<u32>,
-    /// Flat co-claim list: `(item index, candidate of a, candidate of b)`.
-    entries: Vec<(u32, u32, u32)>,
+    /// Source `a`'s scored pairs are `pairs[first_pair[a]..first_pair[a +
+    /// 1]]` (`num_sources + 1` offsets).
+    first_pair: Vec<u32>,
+    /// Candidate each source claims for each item, row-major by item
+    /// (`num_items × num_sources`); `u32::MAX` where the source is silent.
+    cand_of: Vec<u32>,
+    /// Row length of `cand_of`.
+    num_sources: usize,
+    /// Shared items summed over the scored pairs.
+    num_entries: usize,
 }
+
+/// `cand_of` marker for an item the source does not claim.
+const NO_CLAIM: u32 = u32::MAX;
 
 impl CoClaims {
     /// Index every source pair of `problem` sharing at least
     /// `min_shared_items` items.
     pub fn build(problem: &FusionProblem, min_shared_items: usize) -> Self {
         let num_sources = problem.num_sources();
-        let num_slots = num_sources * num_sources.saturating_sub(1) / 2;
-        // Callers below guarantee a < b.
-        let slot = |a: usize, b: usize| triangular_slot(num_sources, a, b);
-
-        // Pass 1: co-claim count per pair. Iterating (provider, candidate)
-        // pairs item by item costs Σ providers(item)², which only touches
-        // pairs that actually co-claim — unlike the S²·I dense-table scan.
-        let mut counts = vec![0u32; num_slots];
-        let mut item_claims: Vec<(usize, usize)> = Vec::new();
-        for item in problem.items() {
-            item_claims.clear();
-            for (c, cand) in item.candidates().enumerate() {
-                item_claims.extend(cand.providers().iter().map(|&s| (s as usize, c)));
-            }
-            for (x, &(sa, _)) in item_claims.iter().enumerate() {
-                for &(sb, _) in &item_claims[x + 1..] {
-                    let (lo, hi) = if sa < sb { (sa, sb) } else { (sb, sa) };
-                    counts[slot(lo, hi)] += 1;
-                }
+        let mut cand_of = vec![NO_CLAIM; problem.num_items() * num_sources];
+        for s in 0..num_sources {
+            for &(i, c) in problem.claims(s) {
+                cand_of[i as usize * num_sources + s] = c;
             }
         }
-
-        // Pass 2: keep pairs meeting the floor, lay out their extents.
-        let mut pairs = Vec::new();
-        let mut pair_of_slot = vec![u32::MAX; num_slots];
-        let mut offsets = vec![0u32];
-        let mut total = 0u32;
+        let mut co = Self {
+            pairs: Vec::new(),
+            first_pair: vec![0],
+            cand_of,
+            num_sources,
+            num_entries: 0,
+        };
+        let mut shared = vec![0u32; num_sources];
         for a in 0..num_sources {
-            for b in (a + 1)..num_sources {
-                let s = slot(a, b);
-                if (counts[s] as usize) < min_shared_items {
-                    continue;
-                }
-                pair_of_slot[s] = pairs.len() as u32;
-                pairs.push((a as u32, b as u32));
-                total += counts[s];
-                offsets.push(total);
-            }
-        }
-
-        // Pass 3: scatter the entries. Items are visited in increasing item
-        // order, so each pair's entry run is item-ordered — the same order
-        // the scoring loop (and its floating-point accumulation) expects.
-        let mut cursors: Vec<u32> = offsets[..offsets.len() - 1].to_vec();
-        let mut entries = vec![(0u32, 0u32, 0u32); total as usize];
-        for (i, item) in problem.items().enumerate() {
-            item_claims.clear();
-            for (c, cand) in item.candidates().enumerate() {
-                item_claims.extend(cand.providers().iter().map(|&s| (s as usize, c)));
-            }
-            for (x, &(sa, ca)) in item_claims.iter().enumerate() {
-                for &(sb, cb) in &item_claims[x + 1..] {
-                    let ((lo, clo), (hi, chi)) = if sa < sb {
-                        ((sa, ca), (sb, cb))
-                    } else {
-                        ((sb, cb), (sa, ca))
-                    };
-                    let pair = pair_of_slot[slot(lo, hi)];
-                    if pair == u32::MAX {
-                        continue;
-                    }
-                    let cursor = &mut cursors[pair as usize];
-                    entries[*cursor as usize] = (i as u32, clo as u32, chi as u32);
-                    *cursor += 1;
+            // `shared[k]`: items `a` shares with source `a + 1 + k`.
+            let shared = &mut shared[a + 1..];
+            shared.fill(0);
+            for &(i, _) in problem.claims(a) {
+                for (n, &cb) in shared.iter_mut().zip(co.later_row(i, a)) {
+                    *n += u32::from(cb != NO_CLAIM);
                 }
             }
+            for (k, &n) in shared.iter().enumerate() {
+                if n as usize >= min_shared_items {
+                    co.pairs.push((a as u32, (a + 1 + k) as u32));
+                    co.num_entries += n as usize;
+                }
+            }
+            co.first_pair.push(co.pairs.len() as u32);
         }
+        co
+    }
 
-        Self {
-            pairs,
-            offsets,
-            entries,
-        }
+    /// The candidates sources `a + 1..` claim for item `i`.
+    #[inline]
+    fn later_row(&self, i: u32, a: usize) -> &[u32] {
+        let row = i as usize * self.num_sources;
+        &self.cand_of[row + a + 1..row + self.num_sources]
     }
 
     /// Number of scored pairs.
@@ -335,9 +354,20 @@ impl CoClaims {
         self.pairs.len()
     }
 
-    /// Total number of co-claim entries across all scored pairs.
+    /// Total number of co-claimed (pair, item) entries across all scored
+    /// pairs.
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.num_entries
+    }
+
+    /// A plan of `num_chunks` source ranges for [`rescore`](Self::rescore),
+    /// balanced by the work of walking each source against its later
+    /// sources.
+    pub fn walk_plan(&self, problem: &FusionProblem, num_chunks: usize) -> ChunkPlan {
+        let weights: Vec<usize> = (0..self.num_sources)
+            .map(|a| problem.claims(a).len() * (self.num_sources - a - 1))
+            .collect();
+        ChunkPlan::balanced_by_weights(&weights, num_chunks)
     }
 
     /// Score every indexed pair against `selection`, writing posterior copy
@@ -347,11 +377,11 @@ impl CoClaims {
     /// `error_rates` is caller-provided scratch of length `num_sources`,
     /// reused across rounds.
     ///
-    /// `source_plan` chunks the per-source error-rate pass and `pair_plan`
-    /// chunks the per-pair log-likelihood walk; both phases are independent
-    /// per slot, so any plan yields bit-identical scores (each pair still sums
-    /// its own co-claim entries in item order). Pass `None` for the sequential
-    /// walk.
+    /// `source_plan` chunks the per-source error-rate pass and `walk_plan`
+    /// (from [`walk_plan`](Self::walk_plan)) chunks the log-likelihood walk
+    /// by its first source; both phases are independent per slot, so any
+    /// plan yields bit-identical scores (each pair still sums its own shared
+    /// items in item order). Pass `None` for the sequential walk.
     #[allow(clippy::too_many_arguments)]
     pub fn rescore(
         &self,
@@ -362,7 +392,7 @@ impl CoClaims {
         error_rates: &mut [f64],
         out: &mut CopyMatrix,
         source_plan: Option<&ChunkPlan>,
-        pair_plan: Option<&ChunkPlan>,
+        walk_plan: Option<&ChunkPlan>,
     ) {
         out.clear();
         // Error rate of each source w.r.t. the current selection.
@@ -379,58 +409,146 @@ impl CoClaims {
             *rate = (wrong as f64 / claims.len() as f64).clamp(0.01, 0.99);
         });
 
-        let c = copy_rate.clamp(1e-6, 1.0 - 1e-6);
-        let prior = prior.clamp(1e-6, 1.0 - 1e-6);
-        let prior_logit = (prior / (1.0 - prior)).ln();
-        let n = 10.0;
-        let error_rates_r: &[f64] = error_rates;
-        let score_pair = |p: usize| -> f64 {
-            let (a, b) = self.pairs[p];
-            let ea = error_rates_r[a as usize];
-            let eb = error_rates_r[b as usize];
-            // The three case probabilities depend only on the pair's error
-            // rates, so the two possible log-likelihood-ratio increments are
-            // computed once per pair instead of twice-ln per shared item.
-            let p_same_true = (1.0 - ea) * (1.0 - eb);
-            let p_same_false = ea * eb / n;
-            let p_diff = (1.0 - p_same_true - p_same_false).max(1e-9);
-            let llr_same_false = (c * ea + (1.0 - c) * p_same_false).max(1e-12).ln()
-                - p_same_false.max(1e-12).ln();
-            let llr_diff = ((1.0 - c) * p_diff).max(1e-12).ln() - p_diff.max(1e-12).ln();
-
-            // Sharing the selected (presumed true) value is treated as
-            // neutral: accurate independent sources agree on most items, so
-            // counting agreement as evidence would flag every pair of good
-            // sources. Sharing a *false* value is the strong signal;
-            // disagreeing is evidence of independence (Dong et al.).
-            let span = self.offsets[p] as usize..self.offsets[p + 1] as usize;
-            let llr = kernels::accumulate_pair_llr(
-                &self.entries[span],
-                selection,
-                llr_same_false,
-                llr_diff,
-            );
-            let logit = llr + prior_logit;
-            1.0 / (1.0 + (-logit).exp())
+        let scorer = PairScorer {
+            co: self,
+            problem,
+            selection,
+            error_rates,
+            c: copy_rate.clamp(1e-6, 1.0 - 1e-6),
+            prior_logit: {
+                let prior = prior.clamp(1e-6, 1.0 - 1e-6);
+                (prior / (1.0 - prior)).ln()
+            },
         };
-        match pair_plan {
+        match walk_plan {
             None => {
-                for (p, &(a, b)) in self.pairs.iter().enumerate() {
-                    out.set(a as usize, b as usize, score_pair(p));
+                let mut walk = PairWalk::default();
+                for a in 0..self.num_sources {
+                    scorer.score_source(a, &mut walk, |p, prob| {
+                        let (a, b) = self.pairs[p];
+                        out.set(a as usize, b as usize, prob);
+                    });
                 }
             }
             Some(plan) => {
-                // The matrix slots of a pair range are scattered across the
-                // triangular layout, so the chunked walk scores into a dense
-                // per-pair buffer first and scatters sequentially.
+                // The matrix slots of a source range are scattered across
+                // the triangular layout, so each chunk scores into its slice
+                // of a dense per-pair buffer, scattered sequentially after.
                 let mut probs = vec![0.0; self.pairs.len()];
-                chunking::for_each_slot(&mut probs, Some(plan), |p, slot| {
-                    *slot = score_pair(p);
+                let mut tasks = Vec::with_capacity(plan.num_chunks());
+                let mut rest = probs.as_mut_slice();
+                for sources in plan.ranges() {
+                    let lo = self.first_pair[sources.start] as usize;
+                    let hi = self.first_pair[sources.end] as usize;
+                    let (head, tail) = rest.split_at_mut(hi - lo);
+                    tasks.push((sources, lo, head));
+                    rest = tail;
+                }
+                chunking::run_chunks(tasks, |(sources, lo, slice)| {
+                    let mut walk = PairWalk::default();
+                    for a in sources {
+                        scorer.score_source(a, &mut walk, |p, prob| slice[p - lo] = prob);
+                    }
                 });
-                for (p, &(a, b)) in self.pairs.iter().enumerate() {
-                    out.set(a as usize, b as usize, probs[p]);
+                for (&(a, b), &prob) in self.pairs.iter().zip(&probs) {
+                    out.set(a as usize, b as usize, prob);
                 }
             }
+        }
+    }
+}
+
+/// The per-round constants of [`CoClaims::rescore`].
+struct PairScorer<'a> {
+    co: &'a CoClaims,
+    problem: &'a FusionProblem,
+    selection: &'a [usize],
+    error_rates: &'a [f64],
+    /// Clamped copy rate.
+    c: f64,
+    prior_logit: f64,
+}
+
+/// Per-partner buffers of one source's walk, indexed by `b - a - 1`.
+#[derive(Default)]
+struct PairWalk {
+    /// Log-likelihood-ratio increment of sharing a value the selection
+    /// calls false.
+    same_false: Vec<f64>,
+    /// Increment of claiming different values.
+    diff: Vec<f64>,
+    /// All zeros: the increment of sharing the selected value.
+    zeros: Vec<f64>,
+    llr: Vec<f64>,
+}
+
+impl PairScorer<'_> {
+    /// Score source `a` against every later source, passing each scored
+    /// pair's index and copy probability to `emit`.
+    fn score_source(&self, a: usize, walk: &mut PairWalk, mut emit: impl FnMut(usize, f64)) {
+        let co = self.co;
+        let pairs = co.first_pair[a] as usize..co.first_pair[a + 1] as usize;
+        if pairs.is_empty() {
+            return;
+        }
+        let (c, n) = (self.c, 10.0);
+        let ea = self.error_rates[a];
+        let partners = co.num_sources - a - 1;
+        walk.same_false.clear();
+        walk.diff.clear();
+        // The three case probabilities depend only on the pair's error
+        // rates, so the two possible log-likelihood-ratio increments are
+        // computed once per pair instead of twice-ln per shared item.
+        for &eb in &self.error_rates[a + 1..] {
+            let p_same_true = (1.0 - ea) * (1.0 - eb);
+            let p_same_false = ea * eb / n;
+            let p_diff = (1.0 - p_same_true - p_same_false).max(1e-9);
+            walk.same_false.push(
+                (c * ea + (1.0 - c) * p_same_false).max(1e-12).ln()
+                    - p_same_false.max(1e-12).ln(),
+            );
+            walk.diff
+                .push(((1.0 - c) * p_diff).max(1e-12).ln() - p_diff.max(1e-12).ln());
+        }
+        walk.zeros.clear();
+        walk.zeros.resize(partners, 0.0);
+        walk.llr.clear();
+        walk.llr.resize(partners, 0.0);
+
+        // Sharing the selected (presumed true) value is treated as neutral:
+        // accurate independent sources agree on most items, so counting
+        // agreement as evidence would flag every pair of good sources.
+        // Sharing a *false* value is the strong signal; disagreeing is
+        // evidence of independence (Dong et al.).
+        //
+        // Every partner takes an increment for every item `a` claims,
+        // `+0.0` where it does not claim the item or shares the selected
+        // value, so the inner loop has no data-dependent branch. Adding
+        // `+0.0` leaves a sum's bits as they are (a sum that starts at
+        // `+0.0` never becomes `-0.0`), so each partner's result is its
+        // sum over the shared items alone, in item order.
+        for &(i, ca) in self.problem.claims(a) {
+            let selected = self.selection.get(i as usize).copied().unwrap_or(0) as u32;
+            let same = if ca != selected {
+                &walk.same_false
+            } else {
+                &walk.zeros
+            };
+            let lanes = walk.llr.iter_mut().zip(co.later_row(i, a)).zip(same).zip(&walk.diff);
+            for (((llr, &cb), &same), &diff) in lanes {
+                *llr += if cb == ca {
+                    same
+                } else if cb == NO_CLAIM {
+                    0.0
+                } else {
+                    diff
+                };
+            }
+        }
+        for p in pairs {
+            let b = co.pairs[p].1 as usize;
+            let logit = walk.llr[b - a - 1] + self.prior_logit;
+            emit(p, 1.0 / (1.0 + (-logit).exp()));
         }
     }
 }

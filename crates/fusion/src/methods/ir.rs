@@ -142,12 +142,21 @@ fn run_estimates(
     let mut trust = initial_trust(problem, options, 0.8);
     let plans = ChunkPlans::from_options(options, problem);
     let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    let num_sources = problem.num_sources();
     let FusionScratch {
         plane: votes,
         item_f: hardness,
+        providers: owner,
         ..
     } = scratch;
     votes.reset_for(problem);
+    // Per-source candidate lookup for the item being voted on: a source
+    // claims at most one candidate per item (checked when the problem is
+    // built), so `owner[s] == c` exactly when `s` provides candidate `c`.
+    // Each item rewrites the slots of all its providers before reading any,
+    // so stale slots from other items are never read.
+    owner.clear();
+    owner.resize(num_sources, u32::MAX);
     // Per-item difficulty in [0, 1]; 0 = easy (votes count fully).
     hardness.clear();
     hardness.resize(problem.num_items(), 0.5);
@@ -161,9 +170,9 @@ fn run_estimates(
         chunking::for_each_item(
             votes,
             item_plan,
-            &mut (),
-            || (),
-            |i, out, _| {
+            owner,
+            || vec![u32::MAX; num_sources],
+            |i, out, owner: &mut Vec<u32>| {
                 let item = problem.item(i);
                 let dampen = |t: f64| -> f64 {
                     if difficulty {
@@ -173,16 +182,24 @@ fn run_estimates(
                     }
                 };
                 for (c, cand) in item.candidates().enumerate() {
-                    let mut vote = 0.0;
-                    for &s in item.providers() {
-                        let t = dampen(trust_r.overall[s as usize]);
-                        if cand.providers().contains(&s) {
-                            vote += t;
-                        } else {
-                            vote += 1.0 - t;
-                        }
+                    for &s in cand.providers() {
+                        owner[s as usize] = c as u32;
                     }
-                    out[c] = vote / item.num_providers().max(1) as f64;
+                }
+                // Each candidate sums over the item's providers in order;
+                // walking providers in the outer loop keeps that order per
+                // candidate and lets the candidates' sums overlap.
+                out.fill(0.0);
+                for &s in item.providers() {
+                    let t = dampen(trust_r.overall[s as usize]);
+                    let own = owner[s as usize] as usize;
+                    for (c, vote) in out.iter_mut().enumerate() {
+                        *vote += if c == own { t } else { 1.0 - t };
+                    }
+                }
+                let n = item.num_providers().max(1) as f64;
+                for vote in out.iter_mut() {
+                    *vote /= n;
                 }
             },
         );

@@ -1,7 +1,7 @@
 //! Test-only oracle: the pre-dense-layout ACCUCOPY implementation.
 //!
 //! The dense hot path (triangular [`CopyMatrix`](crate::copymatrix::CopyMatrix),
-//! CSR co-claims, the flat [`VotePlane`](crate::types::VotePlane), scratch
+//! the co-claim table, the flat [`VotePlane`](crate::types::VotePlane), scratch
 //! buffers) is a *representation* change — the equivalence tests in
 //! [`copyaware`](super::copyaware) assert that every selection and trust
 //! vector is bit-identical to what this original map-and-nested-`Vec`
@@ -10,12 +10,20 @@
 //! access path that still exists — but every per-round structure it builds is
 //! the original nested one, and its private helpers are verbatim copies of
 //! the pre-flattening `argmax_selection` and `update_trust_from_scores`.)
+//!
+//! The same file freezes the INVEST / POOLEDINVEST and 2-/3-ESTIMATES round
+//! loops as they were before their per-claim rewrites, and the tests at the
+//! bottom assert the live methods reproduce them bit for bit.
 
+use crate::chunking::{self, ChunkPlans};
 use crate::methods::bayesian::{clamp_trust, softmax_into};
 use crate::methods::copyaware::AccuCopy;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
-use crate::types::{AttrTrust, FusionOptions, FusionResult, TrustEstimate};
+use crate::types::{
+    normalize_by_max, rescale_to_unit, AttrTrust, FusionOptions, FusionResult, FusionScratch,
+    TrustEstimate,
+};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -259,4 +267,340 @@ pub(crate) fn reference_run(
         rounds,
         start,
     )
+}
+
+/// The INVEST / POOLEDINVEST iteration before the pay-back step reused the
+/// first phase's per-candidate investment sums: it re-sums every claimed
+/// candidate's providers for each claim.
+fn reference_run_invest(
+    name: &str,
+    growth: f64,
+    pooled: bool,
+    problem: &FusionProblem,
+    options: &FusionOptions,
+    scratch: &mut FusionScratch,
+) -> FusionResult {
+    let start = Instant::now();
+    let mut trust = initial_trust(problem, options, 1.0);
+    let plans = ChunkPlans::from_options(options, problem);
+    let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    // Reusable buffers: the vote plane, the per-source investment, and the
+    // per-item non-linear-growth scratch.
+    let FusionScratch {
+        plane: votes,
+        source_f: invested,
+        cand_a: grown,
+        ..
+    } = scratch;
+    votes.reset_for(problem);
+    invested.clear();
+    invested.resize(problem.num_sources(), 0.0);
+    grown.clear();
+    let mut rounds = 0usize;
+    for _ in 0..effective_rounds(options) {
+        rounds += 1;
+        // Invested amount per source: trust spread uniformly over its claims.
+        for (s, claims) in problem.claims_by_source().enumerate() {
+            invested[s] = if claims.is_empty() {
+                0.0
+            } else {
+                trust.overall[s] / claims.len() as f64
+            };
+        }
+        let invested_r: &[f64] = invested;
+        // Accumulated investment per candidate (per item, so any item-range
+        // chunking is embarrassingly parallel).
+        chunking::for_each_item(
+            votes,
+            item_plan,
+            &mut (),
+            || (),
+            |i, out, _| {
+                let item = problem.item(i);
+                for (slot, cand) in out.iter_mut().zip(item.candidates()) {
+                    *slot = cand
+                        .providers()
+                        .iter()
+                        .map(|&s| invested_r[s as usize])
+                        .sum::<f64>();
+                }
+            },
+        );
+        // Non-linear growth, optionally rescaled per item so the votes sum to
+        // the total investment on the item. The `total` / `grown_total` sums
+        // are *per item*, so this phase is also embarrassingly parallel; the
+        // chunked path gets a fresh growth buffer per chunk.
+        chunking::for_each_item(
+            votes,
+            item_plan,
+            grown,
+            Vec::new,
+            |_, item_votes, grown: &mut Vec<f64>| {
+                let total: f64 = item_votes.iter().sum();
+                grown.clear();
+                grown.resize(item_votes.len(), 0.0);
+                for (g, h) in grown.iter_mut().zip(item_votes.iter()) {
+                    *g = h.powf(growth);
+                }
+                let grown_total: f64 = grown.iter().sum();
+                for (slot, g) in item_votes.iter_mut().zip(grown.iter()) {
+                    *slot = if pooled {
+                        if grown_total > 0.0 {
+                            g / grown_total * total
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        *g
+                    };
+                }
+            },
+        );
+
+        // Pay the votes back to the investors, proportionally to their share
+        // of the investment. Each source's claim-order sum lands in its own
+        // slot, so the source axis chunks without re-association.
+        let mut new_trust = vec![0.0; problem.num_sources()];
+        let votes_r: &_ = votes;
+        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+            for &(i, c) in problem.claims(s) {
+                let total_investment: f64 = problem
+                    .item(i as usize)
+                    .candidate(c as usize)
+                    .providers()
+                    .iter()
+                    .map(|&p| invested_r[p as usize])
+                    .sum();
+                if total_investment > 0.0 {
+                    *slot += votes_r.get(i as usize, c as usize) * invested_r[s] / total_investment;
+                }
+            }
+        });
+        if !pooled {
+            normalize_by_max(&mut new_trust);
+        }
+        let new_estimate = TrustEstimate {
+            overall: new_trust,
+            per_attr: None,
+        };
+        let change = new_estimate.max_change(&trust);
+        trust = new_estimate;
+        if change < options.epsilon {
+            break;
+        }
+    }
+    let mut selection = Vec::new();
+    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    FusionResult::from_selection(name, problem, selection, trust, rounds, start)
+}
+
+/// The 2-ESTIMATES / 3-ESTIMATES iteration before the per-item candidate
+/// lookup: membership is a `contains` scan of the candidate's providers
+/// (`difficulty = true` enables the third estimate).
+fn reference_run_estimates(
+    name: &str,
+    difficulty: bool,
+    problem: &FusionProblem,
+    options: &FusionOptions,
+    scratch: &mut FusionScratch,
+) -> FusionResult {
+    let start = Instant::now();
+    let mut trust = initial_trust(problem, options, 0.8);
+    let plans = ChunkPlans::from_options(options, problem);
+    let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    let FusionScratch {
+        plane: votes,
+        item_f: hardness,
+        ..
+    } = scratch;
+    votes.reset_for(problem);
+    // Per-item difficulty in [0, 1]; 0 = easy (votes count fully).
+    hardness.clear();
+    hardness.resize(problem.num_items(), 0.5);
+    let mut rounds = 0usize;
+    for _ in 0..effective_rounds(options) {
+        rounds += 1;
+        // Complement-aware vote: providers contribute their (difficulty-
+        // dampened) trust, non-providers contribute their distrust.
+        let trust_r = &trust;
+        let hardness_r: &[f64] = hardness;
+        chunking::for_each_item(
+            votes,
+            item_plan,
+            &mut (),
+            || (),
+            |i, out, _| {
+                let item = problem.item(i);
+                let dampen = |t: f64| -> f64 {
+                    if difficulty {
+                        t * (1.0 - hardness_r[i]) + 0.5 * hardness_r[i]
+                    } else {
+                        t
+                    }
+                };
+                for (c, cand) in item.candidates().enumerate() {
+                    let mut vote = 0.0;
+                    for &s in item.providers() {
+                        let t = dampen(trust_r.overall[s as usize]);
+                        if cand.providers().contains(&s) {
+                            vote += t;
+                        } else {
+                            vote += 1.0 - t;
+                        }
+                    }
+                    out[c] = vote / item.num_providers().max(1) as f64;
+                }
+            },
+        );
+        // Affine rescaling of all votes to [0, 1] — the plane is already the
+        // flat item-major vector the old code materialized each round; the
+        // chunked variant splits into the exact global min/max reduction and
+        // a per-chunk elementwise pass.
+        chunking::rescale_plane_to_unit(votes, item_plan);
+        // Difficulty update: items whose best value is uncertain are hard.
+        // Per item, so the item plan chunks it directly.
+        if difficulty {
+            let votes_r: &_ = votes;
+            chunking::for_each_slot(hardness, item_plan, |i, h| {
+                let best = votes_r.item(i).iter().cloned().fold(0.0, f64::max);
+                *h = (1.0 - best).clamp(0.0, 1.0);
+            });
+        }
+        // Trust update: average over claimed values' votes and the complement
+        // of the competing values' votes; then affine rescaling.
+        let mut new_trust = vec![0.0; problem.num_sources()];
+        let votes_r: &_ = votes;
+        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+            let mut acc = 0.0;
+            let mut count = 0usize;
+            for &(i, c) in problem.claims(s) {
+                for (c2, &v) in votes_r.item(i as usize).iter().enumerate() {
+                    if c2 == c as usize {
+                        acc += v;
+                    } else {
+                        acc += 1.0 - v;
+                    }
+                    count += 1;
+                }
+            }
+            *slot = if count == 0 { 0.5 } else { acc / count as f64 };
+        });
+        rescale_to_unit(&mut new_trust);
+        let new_estimate = TrustEstimate {
+            overall: new_trust,
+            per_attr: None,
+        };
+        let change = new_estimate.max_change(&trust);
+        trust = new_estimate;
+        if change < options.epsilon {
+            break;
+        }
+    }
+    let mut selection = Vec::new();
+    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    FusionResult::from_selection(name, problem, selection, trust, rounds, start)
+}
+
+mod tests {
+    use super::*;
+    use crate::methods::{Invest, PooledInvest, ThreeEstimates, TwoEstimates};
+
+    /// Seeded Stock and Flight reference days plus the stacked
+    /// `kitchen_sink` scenario's reference day.
+    fn worlds() -> Vec<(&'static str, FusionProblem)> {
+        let stock = datagen::generate(&datagen::stock_config(2012).scaled(0.02, 0.1));
+        let flight = datagen::generate(&datagen::flight_config(2012).scaled(0.1, 0.06));
+        let kitchen_sink = datagen::scenario::by_name("kitchen_sink")
+            .expect("kitchen_sink is a registered scenario")
+            .build();
+        vec![
+            ("stock", FusionProblem::from_snapshot(stock.reference_snapshot())),
+            ("flight", FusionProblem::from_snapshot(flight.reference_snapshot())),
+            (
+                "kitchen_sink",
+                FusionProblem::from_snapshot(&kitchen_sink.domain.collection.reference_day().snapshot),
+            ),
+        ]
+    }
+
+    /// Standard, per-attribute, and input-trust options, each sequential
+    /// and split into three intra-day chunks.
+    fn option_grid(problem: &FusionProblem) -> Vec<FusionOptions> {
+        let input: Vec<f64> = (0..problem.num_sources())
+            .map(|s| 0.3 + 0.6 * (s % 7) as f64 / 6.0)
+            .collect();
+        let mut grid = Vec::new();
+        for base in [
+            FusionOptions::standard(),
+            FusionOptions::standard().with_per_attribute_trust(),
+            FusionOptions::standard().with_input_trust(input),
+        ] {
+            for chunks in [1, 3] {
+                grid.push(base.clone().with_intra_day_chunks(chunks));
+            }
+        }
+        grid
+    }
+
+    fn assert_same_bits(live: &FusionResult, frozen: &FusionResult, context: &str) {
+        assert_eq!(live.selection, frozen.selection, "{context}: selection");
+        assert_eq!(live.rounds, frozen.rounds, "{context}: rounds");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&live.trust.overall),
+            bits(&frozen.trust.overall),
+            "{context}: overall trust"
+        );
+        assert_eq!(
+            live.trust.per_attr.as_ref().map(|pa| bits(pa.values())),
+            frozen.trust.per_attr.as_ref().map(|pa| bits(pa.values())),
+            "{context}: per-attribute trust"
+        );
+    }
+
+    #[test]
+    fn invest_and_estimates_match_the_frozen_loops() {
+        for (world, problem) in worlds() {
+            for opts in option_grid(&problem) {
+                let context = |name: &str| {
+                    format!(
+                        "{name} on {world} (per_attr {}, input {}, chunks {})",
+                        opts.per_attribute_trust,
+                        opts.input_trust.is_some(),
+                        opts.intra_day_chunks
+                    )
+                };
+                let mut scratch = FusionScratch::new();
+                let invest = Invest::default();
+                assert_same_bits(
+                    &invest.run(&problem, &opts),
+                    &reference_run_invest("Invest", invest.growth, false, &problem, &opts, &mut scratch),
+                    &context("Invest"),
+                );
+                let pooled = PooledInvest::default();
+                assert_same_bits(
+                    &pooled.run(&problem, &opts),
+                    &reference_run_invest(
+                        "PooledInvest",
+                        pooled.growth,
+                        true,
+                        &problem,
+                        &opts,
+                        &mut scratch,
+                    ),
+                    &context("PooledInvest"),
+                );
+                assert_same_bits(
+                    &TwoEstimates.run(&problem, &opts),
+                    &reference_run_estimates("2-Estimates", false, &problem, &opts, &mut scratch),
+                    &context("2-Estimates"),
+                );
+                assert_same_bits(
+                    &ThreeEstimates.run(&problem, &opts),
+                    &reference_run_estimates("3-Estimates", true, &problem, &opts, &mut scratch),
+                    &context("3-Estimates"),
+                );
+            }
+        }
+    }
 }

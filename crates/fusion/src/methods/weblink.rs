@@ -178,12 +178,15 @@ fn run_invest(
     let mut trust = initial_trust(problem, options, 1.0);
     let plans = ChunkPlans::from_options(options, problem);
     let (item_plan, source_plan) = ChunkPlans::split(&plans);
-    // Reusable buffers: the vote plane, the per-source investment, and the
-    // per-item non-linear-growth scratch.
+    let cand_offsets = problem.item_cand_offsets();
+    // Reusable buffers: the vote plane, the per-source investment, the
+    // per-item non-linear-growth scratch, and the per-candidate total
+    // investment the pay-back divides by.
     let FusionScratch {
         plane: votes,
         source_f: invested,
         cand_a: grown,
+        cand_b: total_investment,
         ..
     } = scratch;
     votes.reset_for(problem);
@@ -220,6 +223,10 @@ fn run_invest(
                 }
             },
         );
+        // The pay-back below divides by exactly these sums (same providers,
+        // same order), so keep them before growth overwrites the plane.
+        total_investment.clear();
+        total_investment.extend_from_slice(votes.values());
         // Non-linear growth, optionally rescaled per item so the votes sum to
         // the total investment on the item. The `total` / `grown_total` sums
         // are *per item*, so this phase is also embarrassingly parallel; the
@@ -255,18 +262,13 @@ fn run_invest(
         // of the investment. Each source's claim-order sum lands in its own
         // slot, so the source axis chunks without re-association.
         let mut new_trust = vec![0.0; problem.num_sources()];
-        let votes_r: &_ = votes;
+        let votes_r: &[f64] = votes.values();
+        let total_r: &[f64] = total_investment;
         chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
             for &(i, c) in problem.claims(s) {
-                let total_investment: f64 = problem
-                    .item(i as usize)
-                    .candidate(c as usize)
-                    .providers()
-                    .iter()
-                    .map(|&p| invested_r[p as usize])
-                    .sum();
-                if total_investment > 0.0 {
-                    *slot += votes_r.get(i as usize, c as usize) * invested_r[s] / total_investment;
+                let g = cand_offsets[i as usize] as usize + c as usize;
+                if total_r[g] > 0.0 {
+                    *slot += votes_r[g] * invested_r[s] / total_r[g];
                 }
             }
         });

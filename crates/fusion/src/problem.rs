@@ -350,6 +350,7 @@ impl ProblemBuilder {
             p.claim_offsets.push(p.claims.len() as u32);
         }
 
+        check_layout(p);
         &self.problem
     }
 
@@ -459,8 +460,46 @@ impl ProblemBuilder {
             p.claim_offsets.push(p.claims.len() as u32);
         }
 
+        check_layout(p);
         &self.problem
     }
+}
+
+/// Invariants of a freshly filled problem that the fusion loops rely on.
+///
+/// In every build, O(1) checks that no `u32` offset or index overflowed
+/// during the fill and that a dense item × source table is addressable (the
+/// co-claim index of ACCUCOPY allocates one). In debug builds, also checks
+/// that each source claims at most one candidate per item
+/// ([`datamodel::SnapshotBuilder::add`] overwrites a repeated claim), which
+/// the per-item candidate lookups of the methods assume.
+fn check_layout(p: &FusionProblem) {
+    let fits = |len: usize| u32::try_from(len).is_ok();
+    assert!(
+        fits(p.cand_values.len())
+            && fits(p.providers.len())
+            && fits(p.similar.len())
+            && fits(p.coarse_supporters.len())
+            && fits(p.item_providers.len())
+            && fits(p.claims.len())
+            && fits(p.item_ids.len())
+            && fits(p.sources.len()),
+        "prepared problem exceeds the u32 CSR offsets \
+         ({} candidates, {} claims, {} similarity links)",
+        p.cand_values.len(),
+        p.claims.len(),
+        p.similar.len(),
+    );
+    assert!(
+        p.num_sources().checked_mul(p.num_items()).is_some(),
+        "{} sources × {} items overflows a dense item × source table",
+        p.num_sources(),
+        p.num_items(),
+    );
+    debug_assert!(
+        p.items().all(|item| item.total_provider_slots() == item.num_providers()),
+        "a source claims two candidates of one item"
+    );
 }
 
 /// Bucket one snapshot item and append its candidate values, provider rows,
@@ -940,6 +979,37 @@ mod tests {
             *builder.prepare_delta(&day0, &back),
             FusionProblem::from_snapshot(&day0)
         );
+    }
+
+    #[test]
+    fn repeated_claims_collapse_to_one_claim_per_source_and_item() {
+        let shape = |p: &FusionProblem| {
+            let item = p.items().next().expect("one item");
+            (item.num_providers(), item.total_provider_slots(), p.num_claims())
+        };
+        let mut schema = DomainSchema::new("test");
+        schema.add_attribute("price", AttrKind::Numeric { scale: 100.0 }, false);
+        for i in 0..2 {
+            schema.add_source(format!("s{i}"), false);
+        }
+        // A repeated builder claim overwrites the earlier one.
+        let mut b = SnapshotBuilder::new(0);
+        b.add(SourceId(0), ObjectId(0), AttrId(0), Value::number(100.0));
+        b.add(SourceId(1), ObjectId(0), AttrId(0), Value::number(100.0));
+        b.add(SourceId(0), ObjectId(0), AttrId(0), Value::number(250.0));
+        let problem = FusionProblem::from_snapshot(&b.build(Arc::new(schema)));
+        assert_eq!(shape(&problem), (2, 2, 2));
+        assert_eq!(problem.item(0).num_candidates(), 2);
+
+        // So does a repeated CSV row, identical or conflicting.
+        let mut schema = DomainSchema::new("test");
+        schema.add_attribute("price", AttrKind::Numeric { scale: 100.0 }, false);
+        let mut reader = datamodel::CsvReader::new(schema);
+        let snap = reader
+            .read_snapshot(0, "a,obj,price,100\nb,obj,price,100\na,obj,price,100\na,obj,price,250\n")
+            .expect("valid csv");
+        let problem = FusionProblem::from_snapshot(&snap);
+        assert_eq!(shape(&problem), (2, 2, 2));
     }
 
     #[test]

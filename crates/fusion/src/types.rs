@@ -506,13 +506,15 @@ pub struct FusionScratch {
     pub(crate) plane: VotePlane,
     /// Per-item candidate scratch A (raw scores / votes).
     pub(crate) cand_a: Vec<f64>,
-    /// Per-item candidate scratch B (adjusted votes / grown investments).
+    /// Candidate scratch B (adjusted votes per item; INVEST's total
+    /// investment per global candidate).
     pub(crate) cand_b: Vec<f64>,
     /// Per-item scratch (3-ESTIMATES difficulty).
     pub(crate) item_f: Vec<f64>,
     /// Per-source scratch (investments, error rates).
     pub(crate) source_f: Vec<f64>,
-    /// Provider-ordering scratch (ACCUCOPY's accuracy-ordered providers).
+    /// Per-provider / per-source index scratch (ACCUCOPY's accuracy-ordered
+    /// providers, the ESTIMATES per-source candidate lookup).
     pub(crate) providers: Vec<u32>,
     /// Trust-update accumulators.
     pub(crate) trust_acc: TrustScratch,

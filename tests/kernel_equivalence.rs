@@ -210,24 +210,6 @@ proptest! {
         }
     }
 
-    /// The co-claim LLR accumulation is bit-identical, including the neutral
-    /// shared-selected case and out-of-range items (selection 0).
-    #[test]
-    fn pair_llr_matches_scalar(
-        entry_seeds in prop::collection::vec(0usize..64, 0..40),
-        selection in prop::collection::vec(0usize..4, 1..12),
-        llr_pool in prop::collection::vec(-2.0f64..0.0, 2..3),
-    ) {
-        // Entries deliberately include items beyond `selection.len()` and a
-        // high rate of ca == cb collisions.
-        let entries: Vec<(u32, u32, u32)> = entry_seeds
-            .iter()
-            .map(|&s| ((s % 16) as u32, (s % 4) as u32, ((s / 4) % 4) as u32))
-            .collect();
-        let a = kernels::accumulate_pair_llr(&entries, &selection, llr_pool[0], llr_pool[1]);
-        let b = scalar::accumulate_pair_llr(&entries, &selection, llr_pool[0], llr_pool[1]);
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
 }
 
 /// The exact lane-remainder shapes the issue calls out: empty plane, items
