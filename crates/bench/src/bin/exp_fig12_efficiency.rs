@@ -40,8 +40,8 @@
 //! The artifact also carries a `delta` record: a dirty-fraction sweep (1%,
 //! 10%, 50% changed claims per day) comparing the warm
 //! [`fusion::DeltaEngine`] against cold per-day re-preparation on a planted
-//! mutation stream ([`datagen::mutation_stream`]), exact mode asserted
-//! bit-identical and the bounded mode's re-fused item fraction reported.
+//! mutation stream ([`datagen::mutation_stream`]), the warm results asserted
+//! bit-identical to the cold ones.
 
 use bench::{ExpArgs, Json, Table};
 use datagen::GeneratedDomain;
@@ -377,13 +377,11 @@ fn intra_day_report(args: &ExpArgs, repeats: usize) -> Json {
 /// scenario world. For each fraction the same successor days run twice:
 /// cold — every day fully re-prepared on a warm [`evaluation::ShardArena`]
 /// (the strongest full-refill baseline: allocation-warm, full recompute) —
-/// and warm, on one [`fusion::DeltaEngine`] in exact mode (results asserted
-/// bit-identical to the cold pass). A bounded-mode pass reports how far the
-/// dirty-set frontier shrinks the re-fused item count. Per-pass wall times
-/// are medians of `repeats` samples.
+/// and warm, on one [`fusion::DeltaEngine`] (results asserted bit-identical
+/// to the cold pass). Per-pass wall times are medians of `repeats` samples.
 fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
     use evaluation::{DeltaUsage, ShardArena};
-    use fusion::{DeltaEngine, DeltaPolicy};
+    use fusion::DeltaEngine;
 
     let world = datagen::Scenario::new("delta_sweep").with_seed(args.seed).build();
     let base = &world.domain.collection.reference_day().snapshot;
@@ -403,17 +401,17 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
             num_days,
             method_names.len()
         ),
-        &["dirty", "cold (s)", "warm exact (s)", "speedup", "bounded (s)", "bounded re-fused"],
+        &["dirty", "cold (s)", "warm exact (s)", "speedup"],
     );
     let mut sweep = Vec::new();
     for &fraction in &fractions {
         let stream = datagen::mutation_stream(base, num_days, fraction, args.seed);
 
-        // Correctness pass (also the warm-up): exact mode must match the
+        // Correctness pass (also the warm-up): the engine must match the
         // cold full re-preparation bit for bit on every day and method.
         {
             let mut arena = ShardArena::new();
-            let mut engine = DeltaEngine::with_policy(DeltaPolicy::exact());
+            let mut engine = DeltaEngine::new();
             engine.advance(&stream.days[0]);
             arena.prepare(&stream.days[0]);
             for day in &stream.days[1..] {
@@ -457,35 +455,31 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
             .collect();
         let cold_s = median_duration(&mut cold_samples).as_secs_f64();
 
-        // Warm passes: prime on the base day, then time advance + run over
+        // Warm pass: prime on the base day, then time advance + run over
         // the successor days.
-        let time_warm = |policy: DeltaPolicy| -> (f64, DeltaUsage) {
-            let mut samples: Vec<Duration> = Vec::with_capacity(repeats);
-            let mut usage = DeltaUsage::default();
-            for rep in 0..repeats {
-                let mut engine = DeltaEngine::with_policy(policy.clone());
-                engine.advance(&stream.days[0]);
+        let mut exact_samples: Vec<Duration> = Vec::with_capacity(repeats);
+        let mut exact_usage = DeltaUsage::default();
+        for rep in 0..repeats {
+            let mut engine = DeltaEngine::new();
+            engine.advance(&stream.days[0]);
+            for method in &methods {
+                let _ = engine.run(method.as_ref(), &options);
+            }
+            let mut rep_usage = DeltaUsage::default();
+            let start = Instant::now();
+            for day in &stream.days[1..] {
+                rep_usage.record_advance(&engine.advance(day));
                 for method in &methods {
-                    let _ = engine.run(method.as_ref(), &options);
-                }
-                let mut rep_usage = DeltaUsage::default();
-                let start = Instant::now();
-                for day in &stream.days[1..] {
-                    rep_usage.record_advance(&engine.advance(day));
-                    for method in &methods {
-                        let (_, report) = engine.run(method.as_ref(), &options);
-                        rep_usage.record_run(&report);
-                    }
-                }
-                samples.push(start.elapsed());
-                if rep == 0 {
-                    usage = rep_usage;
+                    let (_, report) = engine.run(method.as_ref(), &options);
+                    rep_usage.record_run(&report);
                 }
             }
-            (median_duration(&mut samples).as_secs_f64(), usage)
-        };
-        let (exact_s, exact_usage) = time_warm(DeltaPolicy::exact());
-        let (bounded_s, bounded_usage) = time_warm(DeltaPolicy::bounded());
+            exact_samples.push(start.elapsed());
+            if rep == 0 {
+                exact_usage = rep_usage;
+            }
+        }
+        let exact_s = median_duration(&mut exact_samples).as_secs_f64();
 
         let speedup = cold_s / exact_s.max(f64::MIN_POSITIVE);
         table.row(&[
@@ -493,13 +487,6 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
             format!("{cold_s:.3}"),
             format!("{exact_s:.3}"),
             format!("{speedup:.2}x"),
-            format!("{bounded_s:.3}"),
-            format!(
-                "{}/{} ({:.1}%)",
-                bounded_usage.fused_items,
-                bounded_usage.total_items,
-                100.0 * bounded_usage.fused_fraction()
-            ),
         ]);
         sweep.push(
             Json::object()
@@ -507,11 +494,6 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
                 .field("cold_s", Json::Number(cold_s))
                 .field("warm_exact_s", Json::Number(exact_s))
                 .field("exact_speedup", Json::Number(speedup))
-                .field("warm_bounded_s", Json::Number(bounded_s))
-                .field(
-                    "bounded_fused_fraction",
-                    Json::Number(bounded_usage.fused_fraction()),
-                )
                 .field("full_refreshes", Json::int(exact_usage.full_refreshes))
                 .field(
                     "mean_dirty_fraction",

@@ -4,7 +4,6 @@
 use bench::{ExpArgs, Table};
 use datagen::GeneratedDomain;
 use evaluation::{incremental_recall, incremental_recall_delta, EvaluationContext};
-use fusion::DeltaPolicy;
 use std::time::Instant;
 
 fn report(domain: &GeneratedDomain, methods: &[&str], step: usize) {
@@ -44,7 +43,7 @@ fn report(domain: &GeneratedDomain, methods: &[&str], step: usize) {
 }
 
 /// The `--delta` leg: re-run the prefix ladder on one warm
-/// [`fusion::DeltaEngine`] (exact mode). Growing a source prefix is a pure
+/// [`fusion::DeltaEngine`]. Growing a source prefix is a pure
 /// source-axis delta under pinned tolerances, so the engine splices every
 /// item the new sources don't touch instead of re-bucketing the whole
 /// prefix; the cold pass re-prepares each prefix from scratch. (The two
@@ -59,7 +58,7 @@ fn delta_report(domain: &GeneratedDomain, methods: &[&str], step: usize) {
     let cold_wall = t_cold.elapsed();
 
     let t_warm = Instant::now();
-    let (warm, usage) = incremental_recall_delta(&context, methods, step, DeltaPolicy::exact());
+    let (warm, usage) = incremental_recall_delta(&context, methods, step);
     let warm_wall = t_warm.elapsed();
 
     println!(
@@ -70,14 +69,12 @@ fn delta_report(domain: &GeneratedDomain, methods: &[&str], step: usize) {
         usage.advances
     );
     println!(
-        "[delta]   re-fused {}/{} item slots ({:.1}%), full refreshes {}/{}, cache hits {}, \
-         mean dirty fraction {:.3}, prepare {:.3}s",
-        usage.fused_items,
-        usage.total_items,
-        100.0 * usage.fused_fraction(),
+        "[delta]   cache hits {}/{} runs, full refreshes {}/{}, mean dirty fraction {:.3}, \
+         prepare {:.3}s",
+        usage.cache_hits,
+        usage.runs,
         usage.full_refreshes,
         usage.advances,
-        usage.cache_hits,
         usage.mean_dirty_fraction(),
         usage.prepare.as_secs_f64()
     );

@@ -133,8 +133,9 @@ fn main() {
         stats.ops_applied, stats.ops_duplicate, stats.ops_stale, stats.ops_rejected, stats.seals
     );
     println!(
-        "Engine: {} items fused across {} advances ({} full refreshes); mean seal {:.2} ms",
-        stats.delta.fused_items,
+        "Engine: cache hits {}/{} runs across {} advances ({} full refreshes); mean seal {:.2} ms",
+        stats.delta.cache_hits,
+        stats.delta.runs,
         stats.delta.advances,
         stats.delta.full_refreshes,
         stats.mean_seal().as_secs_f64() * 1e3
@@ -147,7 +148,7 @@ fn main() {
     );
 
     // Convergence: the final published day must carry the cold batch bits
-    // for every registry method (exact delta mode's contract, end to end
+    // for every registry method (the delta engine's contract, end to end
     // through the shell).
     let state = reader.state();
     let last = stream.days.last().expect("stream has days");

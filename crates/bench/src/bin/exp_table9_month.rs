@@ -4,7 +4,6 @@
 use bench::{ExpArgs, Table};
 use datagen::GeneratedDomain;
 use evaluation::{evaluate_over_time, evaluate_over_time_delta};
-use fusion::DeltaPolicy;
 use std::time::Instant;
 
 /// Paper Table-9 averages for reference.
@@ -58,9 +57,9 @@ fn report(domain: &GeneratedDomain, flight: bool) {
 }
 
 /// The `--delta` leg: re-run the month day-over-day on one warm
-/// [`fusion::DeltaEngine`] in exact mode, assert the rows equal the cold
-/// sharded pass bit-for-bit, and report warm-vs-cold wall time plus the
-/// engine's re-fused item accounting. Generated collections drift daily
+/// [`fusion::DeltaEngine`], assert the rows equal the cold sharded pass
+/// bit-for-bit, and report warm-vs-cold wall time plus the engine's
+/// cache-hit and fall-back accounting. Generated collections drift daily
 /// (values move, so the recomputed tolerances move), which pushes the engine
 /// toward its full-refresh fall-back — the leg reports how often that
 /// happened rather than hiding it.
@@ -70,13 +69,13 @@ fn delta_report(domain: &GeneratedDomain) {
     let cold_wall = t_cold.elapsed();
 
     let t_warm = Instant::now();
-    let (warm, usage) = evaluate_over_time_delta(&domain.collection, DeltaPolicy::exact(), 0);
+    let (warm, usage) = evaluate_over_time_delta(&domain.collection, 0);
     let warm_wall = t_warm.elapsed();
 
     for (w, c) in warm.iter().zip(&cold) {
         assert_eq!(
             w.daily_precision, c.daily_precision,
-            "delta exact rows diverged from the cold pass for {}",
+            "delta rows diverged from the cold pass for {}",
             w.method
         );
     }
@@ -89,15 +88,13 @@ fn delta_report(domain: &GeneratedDomain) {
         domain.collection.num_days()
     );
     println!(
-        "[delta]   re-fused {}/{} item slots ({:.1}%), full refreshes {}/{}, identical days {}, \
-         cache hits {}, mean dirty fraction {:.3}, prepare {:.3}s",
-        usage.fused_items,
-        usage.total_items,
-        100.0 * usage.fused_fraction(),
+        "[delta]   cache hits {}/{} runs, full refreshes {}/{}, identical days {}, \
+         mean dirty fraction {:.3}, prepare {:.3}s",
+        usage.cache_hits,
+        usage.runs,
         usage.full_refreshes,
         usage.advances,
         usage.identical_days,
-        usage.cache_hits,
         usage.mean_dirty_fraction(),
         usage.prepare.as_secs_f64()
     );

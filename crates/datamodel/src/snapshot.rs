@@ -336,30 +336,19 @@ impl Snapshot {
 
     /// A new snapshot containing only observations from `sources`.
     ///
-    /// Used by the incremental-source experiments of Figure 9. Tolerances are
-    /// recomputed from the restricted data.
-    pub fn restrict_to_sources(&self, sources: &[SourceId]) -> Snapshot {
-        let keep: BTreeSet<SourceId> = sources.iter().copied().collect();
-        let mut builder = SnapshotBuilder::new(self.day).with_policy(self.tolerance.policy());
-        for (item, obs) in &self.items {
-            for o in obs {
-                if keep.contains(&o.source) {
-                    builder.add(o.source, item.object, item.attr, o.value.clone());
-                }
-            }
-        }
-        builder.build(Arc::clone(&self.schema))
-    }
-
-    /// [`Self::restrict_to_sources`] with this snapshot's tolerance context
-    /// carried over unchanged instead of recomputed from the restricted data.
-    ///
-    /// Used by the delta-fusion form of the Figure-9 experiment: growing
-    /// source prefixes of one day differ from each other only on the source
-    /// axis, so pinning the full-day tolerances makes consecutive prefixes
-    /// diff cleanly (only items the new sources touch are dirty) instead of
+    /// `tolerance` is the context the restricted snapshot buckets with, as
+    /// in [`SnapshotBuilder::materialize`]: `None` recomputes it from the
+    /// restricted data (the incremental-source experiments of Figure 9);
+    /// `Some(self.tolerance())` carries this snapshot's context over. The
+    /// delta-fusion form of Figure 9 pins it that way: growing source
+    /// prefixes of one day then differ only on the source axis and diff
+    /// cleanly (only items the new sources touch are dirty), instead of
     /// every numeric item going stale whenever the restricted median moves.
-    pub fn restrict_to_sources_pinned(&self, sources: &[SourceId]) -> Snapshot {
+    pub fn restrict_to_sources(
+        &self,
+        sources: &[SourceId],
+        tolerance: Option<&ToleranceContext>,
+    ) -> Snapshot {
         let keep: BTreeSet<SourceId> = sources.iter().copied().collect();
         let mut builder = SnapshotBuilder::new(self.day).with_policy(self.tolerance.policy());
         for (item, obs) in &self.items {
@@ -369,29 +358,9 @@ impl Snapshot {
                 }
             }
         }
-        builder.build_with_tolerance(Arc::clone(&self.schema), self.tolerance.clone())
-    }
-
-    /// A new snapshot containing only the data items in `keep`, with this
-    /// snapshot's tolerance context carried over unchanged.
-    ///
-    /// This is how the delta engine materializes a dirty-item sub-problem:
-    /// the sub-snapshot buckets every kept item exactly as the full snapshot
-    /// would (same tolerances, same observation order), so candidate sets
-    /// and provider rows computed on it can be spliced back into the full
-    /// problem's frame of reference.
-    pub fn restrict_to_items(&self, keep: &BTreeSet<ItemId>) -> Snapshot {
-        let items: BTreeMap<ItemId, Vec<Observation>> = self
-            .items
-            .iter()
-            .filter(|(item, _)| keep.contains(item))
-            .map(|(item, obs)| (*item, obs.clone()))
-            .collect();
-        Snapshot {
-            schema: Arc::clone(&self.schema),
-            day: self.day,
-            items,
-            tolerance: self.tolerance.clone(),
+        match tolerance {
+            Some(t) => builder.build_with_tolerance(Arc::clone(&self.schema), t.clone()),
+            None => builder.build(Arc::clone(&self.schema)),
         }
     }
 
@@ -405,7 +374,7 @@ impl Snapshot {
             .into_iter()
             .filter(|s| !drop.contains(s))
             .collect();
-        self.restrict_to_sources(&keep)
+        self.restrict_to_sources(&keep, None)
     }
 }
 
@@ -486,7 +455,7 @@ mod tests {
     #[test]
     fn restriction_and_removal() {
         let snap = snapshot();
-        let only_a = snap.restrict_to_sources(&[SourceId(0)]);
+        let only_a = snap.restrict_to_sources(&[SourceId(0)], None);
         assert_eq!(only_a.active_sources().len(), 1);
         assert_eq!(only_a.num_observations(), 2);
 
@@ -502,25 +471,21 @@ mod tests {
         let snap = snapshot();
         let full_tol = snap.tolerance().tolerance(AttrId(0));
 
-        // The classic restriction recomputes the median from what's left;
-        // the pinned form must carry the full snapshot's context verbatim.
-        let pinned = snap.restrict_to_sources_pinned(&[SourceId(1)]);
+        // The recomputing restriction takes the median of what's left; the
+        // pinned form must carry the full snapshot's context verbatim.
+        let recomputed = snap.restrict_to_sources(&[SourceId(1)], None);
+        assert_ne!(
+            recomputed.tolerance().tolerance(AttrId(0)).to_bits(),
+            full_tol.to_bits()
+        );
+        let pinned = snap.restrict_to_sources(&[SourceId(1)], Some(snap.tolerance()));
         assert_eq!(pinned.num_observations(), 2);
+        let item = ItemId::new(ObjectId(0), AttrId(0));
+        assert_eq!(pinned.observations(item), recomputed.observations(item));
         assert_eq!(
             pinned.tolerance().tolerance(AttrId(0)).to_bits(),
             full_tol.to_bits()
         );
-
-        let item = ItemId::new(ObjectId(0), AttrId(0));
-        let sub = snap.restrict_to_items(&BTreeSet::from([item]));
-        assert_eq!(sub.num_items(), 1);
-        assert_eq!(sub.observations(item), snap.observations(item));
-        assert_eq!(
-            sub.tolerance().tolerance(AttrId(0)).to_bits(),
-            full_tol.to_bits()
-        );
-        // Sub-snapshot buckets exactly as the full snapshot does.
-        assert_eq!(sub.buckets(item), snap.buckets(item));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`crate::incremental::incremental_recall_delta`]) drive one
 //! [`fusion::DeltaEngine`] across a sequence of snapshots; this module
 //! aggregates the engine's per-step reports into the summary the `--delta`
-//! bench legs print (re-fused item counts, fall-back and cache-hit counts,
-//! mean dirty fraction, preparation wall time).
+//! bench legs print (run and cache-hit counts, fall-back counts, mean dirty
+//! fraction, preparation wall time).
 
 use fusion::delta::{AdvanceReport, RunReport};
 use std::time::Duration;
@@ -19,12 +19,10 @@ pub struct DeltaUsage {
     pub full_refreshes: usize,
     /// Advances whose delta was empty (preparation skipped entirely).
     pub identical_days: usize,
+    /// Run calls made (cache hits included).
+    pub runs: usize,
     /// Run calls answered from the per-method cache without fusing.
     pub cache_hits: usize,
-    /// Items actually re-fused, summed over every run call.
-    pub fused_items: usize,
-    /// Total item slots offered, summed over every run call.
-    pub total_items: usize,
     /// Sum of per-advance dirty fractions over the non-first advances.
     pub dirty_fraction_sum: f64,
     /// Number of non-first advances folded into `dirty_fraction_sum`.
@@ -52,11 +50,10 @@ impl DeltaUsage {
 
     /// Fold one [`RunReport`] into the summary.
     pub fn record_run(&mut self, report: &RunReport) {
+        self.runs += 1;
         if report.cache_hit {
             self.cache_hits += 1;
         }
-        self.fused_items += report.fused_items;
-        self.total_items += report.total_items;
     }
 
     /// Fold another summary into this one (component-wise sums). The online
@@ -66,9 +63,8 @@ impl DeltaUsage {
         self.advances += other.advances;
         self.full_refreshes += other.full_refreshes;
         self.identical_days += other.identical_days;
+        self.runs += other.runs;
         self.cache_hits += other.cache_hits;
-        self.fused_items += other.fused_items;
-        self.total_items += other.total_items;
         self.dirty_fraction_sum += other.dirty_fraction_sum;
         self.dirty_steps += other.dirty_steps;
         self.prepare += other.prepare;
@@ -82,21 +78,11 @@ impl DeltaUsage {
             self.dirty_fraction_sum / self.dirty_steps as f64
         }
     }
-
-    /// Fraction of offered item slots that were actually re-fused.
-    pub fn fused_fraction(&self) -> f64 {
-        if self.total_items == 0 {
-            0.0
-        } else {
-            self.fused_items as f64 / self.total_items as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion::delta::DeltaMode;
 
     #[test]
     fn usage_accumulates_reports() {
@@ -128,28 +114,18 @@ mod tests {
             prepare: Duration::from_millis(1),
         });
         usage.record_run(&RunReport {
-            mode: DeltaMode::Bounded,
             cache_hit: false,
-            full_run: false,
-            fused_items: 2,
-            total_items: 10,
-            frontier_sources: 1,
             elapsed: Duration::from_millis(1),
         });
         usage.record_run(&RunReport {
-            mode: DeltaMode::Bounded,
             cache_hit: true,
-            full_run: false,
-            fused_items: 0,
-            total_items: 10,
-            frontier_sources: 0,
             elapsed: Duration::ZERO,
         });
         assert_eq!(usage.advances, 2);
         assert_eq!(usage.full_refreshes, 1);
+        assert_eq!(usage.runs, 2);
         assert_eq!(usage.cache_hits, 1);
         assert!((usage.mean_dirty_fraction() - 0.1).abs() < 1e-12);
-        assert!((usage.fused_fraction() - 0.1).abs() < 1e-12);
         assert_eq!(usage.prepare, Duration::from_millis(3));
 
         // Merging a summary into an empty one reproduces it; merging it into
@@ -160,7 +136,8 @@ mod tests {
         assert_eq!(merged.prepare, usage.prepare);
         merged.merge(&usage);
         assert_eq!(merged.advances, 2 * usage.advances);
-        assert_eq!(merged.fused_items, 2 * usage.fused_items);
+        assert_eq!(merged.runs, 2 * usage.runs);
+        assert_eq!(merged.cache_hits, 2 * usage.cache_hits);
         assert_eq!(merged.dirty_steps, 2 * usage.dirty_steps);
         assert!((merged.mean_dirty_fraction() - usage.mean_dirty_fraction()).abs() < 1e-12);
     }

@@ -6,13 +6,17 @@
 //! high-recall sources reaches the best recall (the peak is at the 5th source
 //! for Stock and the 9th for Flight); adding the remaining sources only
 //! hurts.
+//!
+//! [`incremental_recall_delta`] walks the same prefix ladder on one warm
+//! [`DeltaEngine`], with every prefix bucketed under the full snapshot's
+//! tolerances, and is bit-identical to cold-preparing those pinned prefixes.
 
 use crate::batch::ShardArena;
 use crate::delta_usage::DeltaUsage;
 use crate::metrics::precision_recall;
 use crate::runner::EvaluationContext;
 use datamodel::{GoldStandard, Snapshot, SourceId};
-use fusion::{method_by_name, DeltaEngine, DeltaPolicy, FusionOptions};
+use fusion::{method_by_name, DeltaEngine, FusionOptions};
 use serde::Serialize;
 
 /// Recall after adding the first `num_sources` sources.
@@ -105,7 +109,7 @@ pub fn incremental_recall(
     let mut arena = ShardArena::new();
     let mut k = 1;
     while k <= order.len() {
-        let restricted = context.snapshot.restrict_to_sources(&order[..k]);
+        let restricted = context.snapshot.restrict_to_sources(&order[..k], None);
         arena.prepare(&restricted);
         for (method, series) in resolved.iter().zip(series.iter_mut()) {
             let result = arena.run(method.as_ref(), &FusionOptions::standard());
@@ -126,16 +130,15 @@ pub fn incremental_recall(
 /// Run the Figure-9 experiment prefix-over-prefix on one warm
 /// [`DeltaEngine`].
 ///
-/// Each prefix snapshot is built with
-/// [`Snapshot::restrict_to_sources_pinned`], which carries the full
-/// snapshot's tolerance context verbatim: growing the prefix then only adds
-/// sources, so consecutive prefixes differ by a pure source-axis delta and
-/// the engine splices the untouched item rows instead of re-bucketing the
-/// whole prefix. (The classic [`incremental_recall`] recomputes each prefix's
+/// Each prefix snapshot is built by [`Snapshot::restrict_to_sources`] with
+/// the full snapshot's tolerance context carried over: growing the prefix
+/// then only adds sources, so consecutive prefixes differ by a pure
+/// source-axis delta and the engine splices the untouched item rows instead
+/// of re-bucketing the whole prefix. (The classic [`incremental_recall`] recomputes each prefix's
 /// tolerance from the restricted data, so the two runners can disagree on
-/// tolerance-sensitive items; within this runner,
-/// [`fusion::DeltaMode::Exact`] is still bit-identical to cold-preparing the
-/// same pinned prefixes, as pinned by the tests.)
+/// tolerance-sensitive items; within this runner, the engine is still
+/// bit-identical to cold-preparing the same pinned prefixes, as pinned by the
+/// tests.)
 ///
 /// Also returns the aggregated [`DeltaUsage`] for the
 /// `exp_fig9_incremental --delta` leg.
@@ -143,7 +146,6 @@ pub fn incremental_recall_delta(
     context: &EvaluationContext<'_>,
     methods: &[&str],
     step: usize,
-    policy: DeltaPolicy,
 ) -> (Vec<IncrementalSeries>, DeltaUsage) {
     let order = sources_by_recall(context.snapshot, context.gold);
     let step = step.max(1);
@@ -159,11 +161,13 @@ pub fn incremental_recall_delta(
         })
         .collect();
 
-    let mut engine = DeltaEngine::with_policy(policy);
+    let mut engine = DeltaEngine::new();
     let mut usage = DeltaUsage::default();
     let mut k = 1;
     while k <= order.len() {
-        let restricted = context.snapshot.restrict_to_sources_pinned(&order[..k]);
+        let restricted = context
+            .snapshot
+            .restrict_to_sources(&order[..k], Some(context.snapshot.tolerance()));
         usage.record_advance(&engine.advance(&restricted));
         for (method, series) in resolved.iter().zip(series.iter_mut()) {
             let (result, report) = engine.run(method.as_ref(), &FusionOptions::standard());
@@ -237,8 +241,7 @@ mod tests {
         let day = domain.collection.reference_day();
         let context = EvaluationContext::new(&day.snapshot, &day.gold);
         let methods = ["Vote", "Cosine", "AccuPr"];
-        let (warm, usage) =
-            incremental_recall_delta(&context, &methods, 3, fusion::DeltaPolicy::exact());
+        let (warm, usage) = incremental_recall_delta(&context, &methods, 3);
         assert_eq!(warm.len(), methods.len());
 
         // Cold baseline: the same pinned prefixes, each prepared from scratch.
@@ -247,7 +250,9 @@ mod tests {
         let mut k = 1;
         let mut point = 0usize;
         while k <= order.len() {
-            let restricted = day.snapshot.restrict_to_sources_pinned(&order[..k]);
+            let restricted = day
+                .snapshot
+                .restrict_to_sources(&order[..k], Some(day.snapshot.tolerance()));
             arena.prepare(&restricted);
             for (name, series) in methods.iter().zip(&warm) {
                 let method = method_by_name(name).unwrap();

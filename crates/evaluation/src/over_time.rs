@@ -6,13 +6,15 @@
 //! against one [`ShardArena`] (in-place problem refills, reused method
 //! scratch), and the per-day precision vectors are concatenated in day
 //! order — the same numbers the old one-context-per-day loop produced,
-//! without its per-day allocations.
+//! without its per-day allocations. [`evaluate_over_time_delta`] produces
+//! the same rows, bit for bit, by walking the days in order on one warm
+//! [`DeltaEngine`].
 
 use crate::batch::{shard_plan, ShardArena};
 use crate::delta_usage::DeltaUsage;
 use crate::metrics::precision_recall;
 use datamodel::Collection;
-use fusion::{all_methods, DeltaEngine, DeltaPolicy, FusionOptions};
+use fusion::{all_methods, DeltaEngine, FusionOptions};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -80,21 +82,20 @@ pub fn evaluate_over_time(collection: &Collection, use_known_copying: bool) -> V
 /// [`DeltaEngine`] (day-over-day delta'd preparation instead of per-day cold
 /// refills) and summarize.
 ///
-/// In [`fusion::DeltaMode::Exact`] the returned rows are bit-identical to
-/// [`evaluate_over_time`]: each day's problem is spliced from the previous
-/// day's CSR state (or fully refreshed when the dirty fraction exceeds the
-/// policy threshold) and every method re-runs deterministically over it. The
-/// days are inherently sequential — the warm state carries forward — so this
-/// composes with intra-day chunking rather than across-day sharding: pass
+/// The returned rows are bit-identical to [`evaluate_over_time`]: each day's
+/// problem is spliced from the previous day's CSR state (or fully refreshed
+/// when the dirty fraction exceeds [`fusion::delta::MAX_DIRTY_FRACTION`])
+/// and every method re-runs deterministically over it. The days are
+/// inherently sequential — the warm state carries forward — so this composes
+/// with intra-day chunking rather than across-day sharding: pass
 /// `intra_day_chunks > 0` to split each day's candidate axis across workers
 /// (bit-invisible, as pinned by the chunk-equivalence suites).
 ///
-/// Also returns the aggregated [`DeltaUsage`] (dirty fractions, full-refresh
-/// and cache-hit counts, re-fused item totals, preparation wall time) for the
+/// Also returns the aggregated [`DeltaUsage`] (dirty fractions, full-refresh,
+/// run and cache-hit counts, preparation wall time) for the
 /// `exp_table9_month --delta` leg.
 pub fn evaluate_over_time_delta(
     collection: &Collection,
-    policy: DeltaPolicy,
     intra_day_chunks: usize,
 ) -> (Vec<MethodOverTime>, DeltaUsage) {
     let mut rows = method_rows();
@@ -104,7 +105,7 @@ pub fn evaluate_over_time_delta(
         options = options.with_intra_day_chunks(intra_day_chunks);
     }
 
-    let mut engine = DeltaEngine::with_policy(policy);
+    let mut engine = DeltaEngine::new();
     let mut usage = DeltaUsage::default();
     for day in collection.days() {
         usage.record_advance(&engine.advance(&day.snapshot));
@@ -172,8 +173,7 @@ mod tests {
     fn delta_exact_rows_match_the_cold_runner_bit_for_bit() {
         let domain = generate(&stock_config(72).scaled(0.008, 0.12));
         let cold = evaluate_over_time(&domain.collection, false);
-        let (warm, usage) =
-            evaluate_over_time_delta(&domain.collection, fusion::DeltaPolicy::exact(), 0);
+        let (warm, usage) = evaluate_over_time_delta(&domain.collection, 0);
         assert_eq!(warm.len(), cold.len());
         for (w, c) in warm.iter().zip(&cold) {
             assert_eq!(w.method, c.method);
@@ -184,11 +184,10 @@ mod tests {
         }
         assert_eq!(usage.advances, domain.collection.num_days());
         assert!(usage.full_refreshes >= 1, "first day is always a full prepare");
-        assert!(usage.total_items > 0);
+        assert_eq!(usage.runs, 16 * domain.collection.num_days());
 
         // Chunked intra-day execution composes without changing the rows.
-        let (chunked, _) =
-            evaluate_over_time_delta(&domain.collection, fusion::DeltaPolicy::exact(), 2);
+        let (chunked, _) = evaluate_over_time_delta(&domain.collection, 2);
         for (w, c) in chunked.iter().zip(&cold) {
             assert_eq!(w.daily_precision, c.daily_precision, "method {}", w.method);
         }

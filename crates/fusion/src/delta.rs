@@ -1,113 +1,50 @@
-//! Delta fusion engine: dirty-set re-fusion over warm CSR state.
+//! Delta fusion engine: delta'd preparation over warm CSR state.
 //!
 //! The temporal experiments (Table 9's day-over-day collection, Figure 9's
 //! growing source prefixes) re-prepare and re-fuse the entire world on every
 //! step, even though consecutive snapshots share the vast majority of
 //! claims. [`DeltaEngine`] holds warm state between snapshots — the
-//! [`ProblemBuilder`]'s CSR problem, each method's last result and trust
-//! vector, and the reusable [`FusionScratch`] (including the copy-pair LLR
-//! buffers the copy-aware methods re-score into) — and, given the next
-//! snapshot:
+//! [`ProblemBuilder`]'s CSR problem, each method's last result, and the
+//! reusable [`FusionScratch`] (including the copy-pair LLR buffers the
+//! copy-aware methods re-score into) — and, given the next snapshot:
 //!
 //! 1. diffs it against the previous one ([`SnapshotDelta`]),
 //! 2. refills only the dirty CSR rows in place
 //!    ([`ProblemBuilder::prepare_delta`], splicing clean rows forward), and
-//! 3. re-runs fusion with as little work as the configured [`DeltaMode`]
-//!    allows, warm-starting trust from the previous day's estimate.
+//! 3. re-runs each method over the full spliced problem deterministically,
+//!    unless the problem is unchanged since that method's last run, in which
+//!    case the cached result is returned without fusing.
 //!
-//! # Modes
-//!
-//! **[`DeltaMode::Exact`]** (the default) guarantees results bit-identical
-//! to a cold full-batch run on every day: preparation is delta'd (the
-//! dominant data-movement saving — bucketing and the O(k²) similarity pass
-//! are skipped for every clean item), the method itself re-runs over the
-//! full spliced problem deterministically, and a day whose delta is empty
-//! skips both preparation and fusion entirely, returning the cached result.
-//! The iterative methods couple every source's trust to every item each
-//! round, so any frontier restriction could change low-order float bits;
-//! exact mode therefore never restricts the fusion itself. Bit-identity is
-//! pinned across all sixteen methods, mutation kinds, and trust modes by
+//! Every result is bit-identical to a cold full-batch run of the same
+//! snapshot: preparation is delta'd (the dominant data-movement saving —
+//! bucketing and the O(k²) similarity pass are skipped for every clean
+//! item), but the fusion itself is never restricted. The iterative methods
+//! couple every source's trust to every item each round, so re-fusing only a
+//! dirty frontier would move low-order float bits — and on the paper's
+//! worlds, where most sources claim most items, one dirty source pulls the
+//! whole world into any such frontier anyway. Bit-identity is pinned across
+//! all sixteen methods, mutation kinds, and trust modes by
 //! `tests/delta_equivalence.rs`.
 //!
-//! **[`DeltaMode::Bounded`]** additionally restricts fusion to the dirty
-//! items plus a trust-propagation frontier: items claimed by sources whose
-//! claim sets changed or whose trust moved more than
-//! [`DeltaPolicy::trust_frontier_threshold`] on the previous day. The
-//! frontier sub-problem (built on a tolerance-pinned sub-snapshot, so every
-//! kept item buckets exactly as in the full problem) is fused with the
-//! previous day's trust as a warm start, then the sub-selection and
-//! sub-trust are spliced into the carried state. Results approximate the
-//! cold answer within a tolerance pinned by tests; this is the
-//! interactive-latency mode the future online service builds on.
-//!
-//! Both modes fall back to a full re-preparation + re-fusion when the dirty
-//! fraction exceeds [`DeltaPolicy::max_dirty_fraction`] (analogous to how
-//! `ChunkPolicy` falls back to sequential), and compose with intra-day
+//! A day whose dirty fraction exceeds [`MAX_DIRTY_FRACTION`] is re-prepared
+//! from scratch instead of spliced, and the engine composes with intra-day
 //! chunking: `FusionOptions::intra_day_chunks` passes through untouched and
 //! stays invisible in the output.
 
 use crate::methods::FusionMethod;
 use crate::problem::ProblemBuilder;
-use crate::types::{AttrTrust, FusionOptions, FusionResult, FusionScratch, TrustEstimate};
-use datamodel::{ItemId, Snapshot, SnapshotDelta, SourceId};
-use std::collections::{BTreeSet, HashMap};
+use crate::types::{FusionOptions, FusionResult, FusionScratch};
+use datamodel::{Snapshot, SnapshotDelta};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// How much re-fusion a [`DeltaEngine`] performs after a delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaMode {
-    /// Bit-identical to a cold full-batch run on every day (the default):
-    /// preparation is delta'd, fusion re-runs over the full spliced problem,
-    /// and empty-delta days return the cached result without fusing at all.
-    Exact,
-    /// Fusion is restricted to the dirty items plus the trust-propagation
-    /// frontier, warm-starting trust; results approximate the cold answer
-    /// within a pinned tolerance.
-    Bounded,
-}
-
-/// Fall-back and frontier policy of a [`DeltaEngine`] (the delta analogue of
-/// `evaluation`'s `ChunkPolicy`).
-#[derive(Debug, Clone)]
-pub struct DeltaPolicy {
-    /// Re-fusion mode (default: [`DeltaMode::Exact`]).
-    pub mode: DeltaMode,
-    /// When a day's [`SnapshotDelta::dirty_fraction`] exceeds this, the
-    /// engine abandons splicing and does a full re-preparation — past this
-    /// point the merge-walk bookkeeping costs more than it saves (default:
-    /// `0.25`).
-    pub max_dirty_fraction: f64,
-    /// Bounded mode: sources whose overall trust moved more than this
-    /// between runs drag every item they claim into the next day's re-fusion
-    /// frontier (default: `1e-3`, matching `FusionOptions::standard`'s
-    /// convergence epsilon within an order of magnitude).
-    pub trust_frontier_threshold: f64,
-}
-
-impl Default for DeltaPolicy {
-    fn default() -> Self {
-        Self {
-            mode: DeltaMode::Exact,
-            max_dirty_fraction: 0.25,
-            trust_frontier_threshold: 1e-3,
-        }
-    }
-}
-
-impl DeltaPolicy {
-    /// The default exact policy.
-    pub fn exact() -> Self {
-        Self::default()
-    }
-
-    /// A bounded policy with the default thresholds.
-    pub fn bounded() -> Self {
-        Self {
-            mode: DeltaMode::Bounded,
-            ..Self::default()
-        }
-    }
-}
+/// When a day's [`SnapshotDelta::dirty_fraction`] exceeds this,
+/// [`DeltaEngine::advance`] abandons splicing and re-prepares the problem
+/// from scratch. On the `exp_fig12_efficiency` dirty-fraction sweep the
+/// splice path beats a cold re-preparation at 1% and 10% dirty but loses at
+/// 50%, where the merge-walk bookkeeping costs more than it saves; a quarter
+/// sits between the two.
+pub const MAX_DIRTY_FRACTION: f64 = 0.25;
 
 /// What [`DeltaEngine::advance`] did with one day's snapshot.
 #[derive(Debug, Clone)]
@@ -119,7 +56,7 @@ pub struct AdvanceReport {
     /// True when the delta was empty and preparation was skipped entirely.
     pub identical: bool,
     /// True when the engine re-prepared from scratch (first day, or dirty
-    /// fraction above [`DeltaPolicy::max_dirty_fraction`]).
+    /// fraction above [`MAX_DIRTY_FRACTION`]).
     pub full_refresh: bool,
     /// Items whose CSR rows were re-bucketed (dirty or new).
     pub dirty_items: usize,
@@ -140,23 +77,12 @@ pub struct AdvanceReport {
 /// How one [`DeltaEngine::run`] call satisfied its request.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// The engine mode the run executed under.
-    pub mode: DeltaMode,
-    /// True when the previous result was returned without fusing (empty
-    /// delta, compatible options, no pending trust frontier).
+    /// True when the previous result was returned without fusing (the
+    /// problem is unchanged since the method's last run, under compatible
+    /// options); otherwise the method ran over the full problem.
     pub cache_hit: bool,
-    /// True when the method ran over the full problem (exact mode, cold
-    /// state, or a policy fall-back) rather than a frontier sub-problem.
-    pub full_run: bool,
-    /// Number of items actually re-fused by the method this call.
-    pub fused_items: usize,
-    /// Total items in the current problem.
-    pub total_items: usize,
-    /// Bounded mode: number of sources contributing the trust-propagation
-    /// frontier (dirty-claim sources plus trust movers).
-    pub frontier_sources: usize,
-    /// Wall-clock time of this call (fusion + splice; excludes
-    /// [`DeltaEngine::advance`]'s preparation).
+    /// Wall-clock time of this call (excludes [`DeltaEngine::advance`]'s
+    /// preparation).
     pub elapsed: Duration,
 }
 
@@ -165,44 +91,25 @@ pub struct RunReport {
 struct MethodWarm {
     /// The options the warm result was produced under (compatibility key).
     options_key: FusionOptions,
-    /// Last produced result (selection aligned with `items`, trust aligned
-    /// with `sources`).
+    /// Last produced result.
     result: FusionResult,
-    /// Dense source order at the time of the run (sorted by `SourceId`).
-    sources: Vec<SourceId>,
-    /// Item order at the time of the run (sorted).
-    items: Vec<ItemId>,
-    /// Sources whose overall trust moved beyond the frontier threshold on
-    /// the last bounded run — next run's propagation frontier.
-    moved_sources: BTreeSet<SourceId>,
-    /// Dirty items accumulated since this method last ran.
-    pending_items: BTreeSet<ItemId>,
-    /// Dirty sources accumulated since this method last ran.
-    pending_sources: BTreeSet<SourceId>,
     /// True when the problem changed at all since this method last ran.
     stale: bool,
-    /// True when the engine fully re-prepared since this method last ran
-    /// (frontier bookkeeping was reset, so bounded must run full once).
-    pending_full: bool,
 }
 
 /// Warm-state re-fusion engine for day-over-day and incremental workloads.
 ///
 /// Feed it one snapshot at a time with [`advance`](Self::advance), then ask
 /// for per-method results with [`run`](Self::run). The engine owns every
-/// reusable buffer of the pipeline — the primary [`ProblemBuilder`] whose
-/// CSR rows are spliced forward day over day, a second builder for bounded
-/// mode's frontier sub-problems, and one [`FusionScratch`] shared by all
-/// methods — so steady-state operation allocates almost nothing and, more
-/// importantly, *recomputes* almost nothing: clean items are never
-/// re-bucketed, and (in bounded mode) never re-fused.
+/// reusable buffer of the pipeline — the [`ProblemBuilder`] whose CSR rows
+/// are spliced forward day over day and one [`FusionScratch`] shared by all
+/// methods — so steady-state operation allocates almost nothing and never
+/// re-buckets a clean item.
 ///
-/// See the [module docs](self) for the exact-vs-bounded contract.
+/// See the [module docs](self) for the bit-identity contract.
 #[derive(Debug, Default)]
 pub struct DeltaEngine {
-    policy: DeltaPolicy,
     builder: ProblemBuilder,
-    sub_builder: ProblemBuilder,
     scratch: FusionScratch,
     current: Option<Snapshot>,
     delta: SnapshotDelta,
@@ -210,22 +117,9 @@ pub struct DeltaEngine {
 }
 
 impl DeltaEngine {
-    /// An engine with the default (exact) policy.
+    /// An engine with no warm state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An engine with an explicit policy.
-    pub fn with_policy(policy: DeltaPolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
-    }
-
-    /// The engine's policy.
-    pub fn policy(&self) -> &DeltaPolicy {
-        &self.policy
     }
 
     /// The currently prepared problem (empty before the first
@@ -254,19 +148,17 @@ impl DeltaEngine {
         self.current.is_some()
     }
 
-    /// Advance the engine to `snapshot`: diff against the previous day,
-    /// refill only the dirty CSR rows (or fall back per the policy), and
-    /// record per-method pending work.
+    /// Advance the engine to `snapshot`: diff against the previous day and
+    /// refill only the dirty CSR rows (or re-prepare from scratch above
+    /// [`MAX_DIRTY_FRACTION`]). Every method's cached result goes stale
+    /// unless the delta is empty.
     pub fn advance(&mut self, snapshot: &Snapshot) -> AdvanceReport {
         let started = Instant::now();
         let report = match &self.current {
             None => {
                 self.builder.prepare(snapshot);
                 self.delta = SnapshotDelta::default();
-                for warm in self.per_method.values_mut() {
-                    warm.stale = true;
-                    warm.pending_full = true;
-                }
+                self.mark_stale();
                 AdvanceReport {
                     day: snapshot.day(),
                     first_day: true,
@@ -285,21 +177,14 @@ impl DeltaEngine {
                 let delta = SnapshotDelta::between(prev, snapshot);
                 let identical = delta.is_empty();
                 let fraction = delta.dirty_fraction();
-                let full_refresh = !identical && fraction > self.policy.max_dirty_fraction;
+                let full_refresh = !identical && fraction > MAX_DIRTY_FRACTION;
                 if full_refresh {
                     self.builder.prepare(snapshot);
-                    for warm in self.per_method.values_mut() {
-                        warm.stale = true;
-                        warm.pending_full = true;
-                    }
                 } else if !identical {
                     self.builder.prepare_delta(snapshot, &delta);
-                    for warm in self.per_method.values_mut() {
-                        warm.stale = true;
-                        warm.pending_items.extend(delta.dirty_items().iter().copied());
-                        warm.pending_sources
-                            .extend(delta.dirty_sources().iter().copied());
-                    }
+                }
+                if !identical {
+                    self.mark_stale();
                 }
                 let report = AdvanceReport {
                     day: snapshot.day(),
@@ -322,278 +207,48 @@ impl DeltaEngine {
         report
     }
 
-    /// Run `method` over the current snapshot under the engine's policy.
+    /// Run `method` over the current snapshot.
     ///
-    /// In exact mode the returned [`FusionResult`] is bit-identical to
-    /// `method.run` on a cold preparation of the current snapshot; in
-    /// bounded mode it approximates it (see the [module docs](self)).
+    /// The returned [`FusionResult`] is bit-identical to `method.run` on a
+    /// cold preparation of the current snapshot.
     pub fn run(&mut self, method: &dyn FusionMethod, options: &FusionOptions) -> (FusionResult, RunReport) {
         let started = Instant::now();
         let name = method.name();
-        let total_items = self.builder.problem().num_items();
-
-        let warm_compatible = self
-            .per_method
-            .get(&name)
-            .is_some_and(|w| options_compatible(&w.options_key, options));
-
-        // Cache: the problem is unchanged since this method's last run and
-        // no trust frontier is pending — yesterday's result is today's.
-        if warm_compatible {
-            let warm = &self.per_method[&name];
-            let pending_frontier =
-                self.policy.mode == DeltaMode::Bounded && !warm.moved_sources.is_empty();
-            if !warm.stale && !warm.pending_full && !pending_frontier {
-                let result = warm.result.clone();
-                return (
-                    result,
-                    RunReport {
-                        mode: self.policy.mode,
-                        cache_hit: true,
-                        full_run: false,
-                        fused_items: 0,
-                        total_items,
-                        frontier_sources: 0,
-                        elapsed: started.elapsed(),
-                    },
-                );
-            }
-        }
-
-        let can_bound = self.policy.mode == DeltaMode::Bounded
-            && warm_compatible
-            && !self.per_method[&name].pending_full
-            && options.input_trust.is_none()
-            && options.known_copy_probabilities.is_none();
-        if can_bound {
-            self.run_bounded(method, &name, options, started, total_items)
-        } else {
-            self.run_full(method, &name, options, started, total_items)
-        }
-    }
-
-    /// Full deterministic run over the (spliced or re-prepared) problem;
-    /// the exact-mode workhorse and every fall-back path.
-    fn run_full(
-        &mut self,
-        method: &dyn FusionMethod,
-        name: &str,
-        options: &FusionOptions,
-        started: Instant,
-        total_items: usize,
-    ) -> (FusionResult, RunReport) {
-        let problem = self.builder.problem();
-        let result = method.run_with_scratch(problem, options, &mut self.scratch);
-        self.store_warm(name, options, result.clone(), BTreeSet::new());
-        (
-            result,
-            RunReport {
-                mode: self.policy.mode,
-                cache_hit: false,
-                full_run: true,
-                fused_items: total_items,
-                total_items,
-                frontier_sources: 0,
-                elapsed: started.elapsed(),
-            },
-        )
-    }
-
-    /// Bounded mode: fuse only the frontier sub-problem with warm-started
-    /// trust and splice the outcome into the carried state.
-    fn run_bounded(
-        &mut self,
-        method: &dyn FusionMethod,
-        name: &str,
-        options: &FusionOptions,
-        started: Instant,
-        total_items: usize,
-    ) -> (FusionResult, RunReport) {
-        let warm = self
-            .per_method
-            .remove(name)
-            .expect("run_bounded requires warm state");
-        let problem = self.builder.problem();
-        let snapshot = self
-            .current
-            .as_ref()
-            .expect("run_bounded requires an advanced snapshot");
-
-        // Frontier: every pending dirty item, plus every item claimed by a
-        // pending dirty source or by a source whose trust moved beyond the
-        // threshold on the previous run.
-        let frontier_sources: BTreeSet<SourceId> = warm
-            .pending_sources
-            .iter()
-            .chain(warm.moved_sources.iter())
-            .copied()
-            .collect();
-        let mut frontier: BTreeSet<ItemId> = warm.pending_items.clone();
-        for source in &frontier_sources {
-            if let Some(s) = problem.source_index(*source) {
-                for &(item_index, _) in problem.claims(s) {
-                    frontier.insert(problem.item(item_index as usize).id());
-                }
-            }
-        }
-
-        if frontier.len() >= total_items {
-            self.per_method.insert(name.to_string(), warm);
-            return self.run_full(method, name, options, started, total_items);
-        }
-
-        // Tolerance-pinned sub-snapshot: every kept item buckets exactly as
-        // in the full problem, so local candidate indices line up for the
-        // splice.
-        let sub_snapshot = snapshot.restrict_to_items(&frontier);
-        let sub_problem = self.sub_builder.prepare(&sub_snapshot);
-
-        // Warm-start trust for the sub-problem's sources from the previous
-        // run's estimate; sources the warm state has never seen keep the
-        // method's own prior (NaN slot).
-        let seed: Vec<f64> = sub_problem
-            .sources
-            .iter()
-            .map(|source| {
-                warm.sources
-                    .binary_search(source)
-                    .map(|pos| warm.result.trust.overall[pos])
-                    .unwrap_or(f64::NAN)
-            })
-            .collect();
-        let mut sub_options = options.clone();
-        sub_options.warm_start_trust = Some(seed);
-        let sub_result = method.run_with_scratch(sub_problem, &sub_options, &mut self.scratch);
-        let sub_problem = self.sub_builder.problem();
-
-        // Splice the sub-selection into the carried selection: three sorted
-        // item axes (current problem, sub-problem, warm state) merge-walked
-        // in one pass. Clean items keep their warm local candidate index —
-        // valid because their candidate sets are unchanged by construction.
-        let mut selection = Vec::with_capacity(total_items);
-        let mut sub_pos = 0usize;
-        let mut warm_pos = 0usize;
-        for item in problem.items() {
-            let id = item.id();
-            while sub_pos < sub_problem.num_items() && sub_problem.item(sub_pos).id() < id {
-                sub_pos += 1;
-            }
-            if sub_pos < sub_problem.num_items() && sub_problem.item(sub_pos).id() == id {
-                selection.push(sub_result.selection[sub_pos]);
-                continue;
-            }
-            while warm_pos < warm.items.len() && warm.items[warm_pos] < id {
-                warm_pos += 1;
-            }
-            if warm_pos < warm.items.len() && warm.items[warm_pos] == id {
-                selection.push(warm.result.selection[warm_pos]);
-            } else {
-                // Unreachable under the delta contract (an item unknown to
-                // the warm state is dirty, hence in the frontier); selecting
-                // the dominant bucket keeps the output well-formed anyway.
-                selection.push(0);
-            }
-        }
-
-        // Merge trust: frontier sources take the sub-run's estimate, the
-        // rest carry the warm estimate forward.
-        let num_attrs = problem.num_attrs;
-        let mut overall = Vec::with_capacity(problem.num_sources());
-        let mut per_attr = (options.per_attribute_trust
-            && sub_result.trust.per_attr.is_some())
-        .then(|| AttrTrust::filled(problem.num_sources(), num_attrs, 0.8));
-        for (si, source) in problem.sources.iter().enumerate() {
-            let (value, row): (f64, Option<&[f64]>) =
-                if let Some(sub_si) = sub_problem.source_index(*source) {
-                    (
-                        sub_result.trust.overall[sub_si],
-                        sub_result.trust.per_attr.as_ref().map(|pa| pa.row(sub_si)),
-                    )
-                } else if let Ok(pos) = warm.sources.binary_search(source) {
-                    (
-                        warm.result.trust.overall[pos],
-                        warm.result.trust.per_attr.as_ref().map(|pa| pa.row(pos)),
-                    )
-                } else {
-                    (0.8, None)
+        if let Some(warm) = self.per_method.get(&name) {
+            if !warm.stale && options_compatible(&warm.options_key, options) {
+                let report = RunReport {
+                    cache_hit: true,
+                    elapsed: started.elapsed(),
                 };
-            overall.push(value);
-            if let (Some(pa), Some(row)) = (per_attr.as_mut(), row) {
-                if row.len() == num_attrs {
-                    pa.row_mut(si).copy_from_slice(row);
-                }
+                return (warm.result.clone(), report);
             }
         }
-
-        // Next frontier: sources whose trust moved beyond the threshold.
-        let mut moved = BTreeSet::new();
-        for (si, source) in problem.sources.iter().enumerate() {
-            if let Ok(pos) = warm.sources.binary_search(source) {
-                if (overall[si] - warm.result.trust.overall[pos]).abs()
-                    > self.policy.trust_frontier_threshold
-                {
-                    moved.insert(*source);
-                }
-            }
-        }
-
-        let trust = TrustEstimate { overall, per_attr };
-        let elapsed = started.elapsed();
-        let selected = problem.selection_to_values(&selection);
-        let result = FusionResult {
-            method: name.to_string(),
-            selected,
-            selection,
-            trust,
-            rounds: sub_result.rounds,
-            elapsed,
-        };
-        let fused_items = sub_problem.num_items();
-        let frontier_count = frontier_sources.len();
-        self.store_warm(name, options, result.clone(), moved);
-        (
-            result,
-            RunReport {
-                mode: DeltaMode::Bounded,
-                cache_hit: false,
-                full_run: false,
-                fused_items,
-                total_items,
-                frontier_sources: frontier_count,
-                elapsed,
-            },
-        )
-    }
-
-    /// Record `result` as the method's warm state and clear its pending
-    /// bookkeeping.
-    fn store_warm(
-        &mut self,
-        name: &str,
-        options: &FusionOptions,
-        result: FusionResult,
-        moved_sources: BTreeSet<SourceId>,
-    ) {
-        let problem = self.builder.problem();
+        let result = method.run_with_scratch(self.builder.problem(), options, &mut self.scratch);
         let warm = MethodWarm {
             options_key: options.clone(),
-            sources: problem.sources.clone(),
-            items: problem.items().map(|i| i.id()).collect(),
-            result,
-            moved_sources,
-            pending_items: BTreeSet::new(),
-            pending_sources: BTreeSet::new(),
+            result: result.clone(),
             stale: false,
-            pending_full: false,
         };
-        self.per_method.insert(name.to_string(), warm);
+        self.per_method.insert(name, warm);
+        let report = RunReport {
+            cache_hit: false,
+            elapsed: started.elapsed(),
+        };
+        (result, report)
+    }
+
+    /// Invalidate every method's cached result; a method stays stale until
+    /// it runs again, however many advances come in between.
+    fn mark_stale(&mut self) {
+        for warm in self.per_method.values_mut() {
+            warm.stale = true;
+        }
     }
 }
 
-/// Whether two option sets produce interchangeable results for caching and
-/// warm-state purposes. `intra_day_chunks` is excluded (chunking is
-/// bit-invisible in the output, pinned by `tests/chunk_equivalence.rs`), as
-/// is `warm_start_trust` (the engine's own seeding channel).
+/// Whether two option sets produce interchangeable results for caching
+/// purposes. `intra_day_chunks` is excluded: chunking is bit-invisible in
+/// the output, pinned by `tests/chunk_equivalence.rs`.
 fn options_compatible(a: &FusionOptions, b: &FusionOptions) -> bool {
     a.max_rounds == b.max_rounds
         && a.epsilon.to_bits() == b.epsilon.to_bits()
@@ -607,7 +262,7 @@ mod tests {
     use super::*;
     use crate::problem::FusionProblem;
     use crate::registry::all_methods;
-    use datamodel::{AttrId, AttrKind, DomainSchema, ObjectId, SnapshotBuilder, Value};
+    use datamodel::{AttrId, AttrKind, DomainSchema, ObjectId, SnapshotBuilder, SourceId, Value};
     use std::sync::Arc;
 
     fn schema(num_sources: usize) -> Arc<DomainSchema> {
@@ -662,11 +317,11 @@ mod tests {
         assert_eq!(r1.dirty_items, 1);
 
         for (_, method) in all_methods() {
-            // Re-advance per method is unnecessary: exact mode full-runs on
-            // the spliced problem, which is shared by all methods.
+            // Re-advance per method is unnecessary: every run is a full run
+            // on the spliced problem, which is shared by all methods.
             let cold = method.run(&FusionProblem::from_snapshot(&d1), &options);
             let (warm, report) = engine.run(method.as_ref(), &options);
-            assert!(report.full_run && !report.cache_hit);
+            assert!(!report.cache_hit);
             assert_eq!(warm.selection, cold.selection, "{}", method.name());
             assert_eq!(warm.rounds, cold.rounds, "{}", method.name());
             let warm_bits: Vec<u64> = warm.trust.overall.iter().map(|t| t.to_bits()).collect();
@@ -690,13 +345,12 @@ mod tests {
         assert!(r.identical && !r.full_refresh);
         let (second, report1) = engine.run(method.as_ref(), &options);
         assert!(report1.cache_hit);
-        assert_eq!(report1.fused_items, 0);
         assert_eq!(second.selection, first.selection);
 
         // Changing options invalidates the cache.
         let per_attr = FusionOptions::standard().with_per_attribute_trust();
         let (_, report2) = engine.run(method.as_ref(), &per_attr);
-        assert!(!report2.cache_hit && report2.full_run);
+        assert!(!report2.cache_hit);
     }
 
     #[test]
@@ -716,47 +370,5 @@ mod tests {
         let r = engine.advance(&d1);
         assert!(r.full_refresh);
         assert!(r.dirty_fraction > 0.9);
-    }
-
-    #[test]
-    fn bounded_mode_restricts_fusion_to_the_frontier() {
-        let d0 = day0();
-        let d1 = day1(&d0);
-        let mut engine = DeltaEngine::with_policy(DeltaPolicy::bounded());
-        let options = FusionOptions::standard();
-        let method = crate::registry::method_by_name("Cosine").unwrap();
-
-        engine.advance(&d0);
-        let (_, r0) = engine.run(method.as_ref(), &options);
-        assert!(r0.full_run, "cold state must full-run");
-
-        engine.advance(&d1);
-        let (warm, r1) = engine.run(method.as_ref(), &options);
-        assert!(!r1.full_run && !r1.cache_hit);
-        // The edited item plus everything source 1 touches; strictly less
-        // than the whole world.
-        assert!(r1.fused_items < r1.total_items);
-        assert!(r1.fused_items >= 1);
-        assert!(r1.frontier_sources >= 1);
-
-        // The bounded result stays close to the cold answer: identical
-        // selections on this small world.
-        let cold = method.run(&FusionProblem::from_snapshot(&d1), &options);
-        assert_eq!(warm.selection.len(), cold.selection.len());
-        assert_eq!(warm.selected.len(), d1.num_items());
-    }
-
-    #[test]
-    fn bounded_falls_back_on_input_trust() {
-        let d0 = day0();
-        let d1 = day1(&d0);
-        let mut engine = DeltaEngine::with_policy(DeltaPolicy::bounded());
-        let options = FusionOptions::standard().with_input_trust(vec![0.9; 4]);
-        let method = crate::registry::method_by_name("Vote").unwrap();
-        engine.advance(&d0);
-        engine.run(method.as_ref(), &options);
-        engine.advance(&d1);
-        let (_, report) = engine.run(method.as_ref(), &options);
-        assert!(report.full_run, "input trust pins the estimate: full run");
     }
 }

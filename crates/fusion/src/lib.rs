@@ -33,7 +33,7 @@ pub mod types;
 
 pub use chunking::{ChunkPlan, ChunkPlans};
 pub use copymatrix::CopyMatrix;
-pub use delta::{AdvanceReport, DeltaEngine, DeltaMode, DeltaPolicy, RunReport};
+pub use delta::{AdvanceReport, DeltaEngine, RunReport};
 pub use methods::FusionMethod;
 pub use problem::{Candidate, FusionProblem, PreparedItem, ProblemBuilder};
 pub use registry::{all_methods, method_by_name, MethodCategory};

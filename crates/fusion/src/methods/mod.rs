@@ -49,8 +49,7 @@ pub trait FusionMethod: Send + Sync {
 }
 
 /// Initial trust for iterative methods: the supplied input trust when
-/// present, otherwise the warm-start seed (finite slots only — `NaN` keeps
-/// the method default) when present, otherwise a uniform default.
+/// present, otherwise a uniform default.
 pub(crate) fn initial_trust(
     problem: &FusionProblem,
     options: &FusionOptions,
@@ -64,18 +63,6 @@ pub(crate) fn initial_trust(
     );
     if let Some(input) = &options.input_trust {
         for (i, t) in input.iter().enumerate().take(problem.num_sources()) {
-            trust.overall[i] = *t;
-            if let Some(pa) = trust.per_attr.as_mut() {
-                for slot in pa.row_mut(i) {
-                    *slot = *t;
-                }
-            }
-        }
-    } else if let Some(warm) = &options.warm_start_trust {
-        for (i, t) in warm.iter().enumerate().take(problem.num_sources()) {
-            if !t.is_finite() {
-                continue;
-            }
             trust.overall[i] = *t;
             if let Some(pa) = trust.per_attr.as_mut() {
                 for slot in pa.row_mut(i) {
@@ -248,32 +235,15 @@ mod tests {
     fn initial_trust_respects_input() {
         let (snap, _) = testutil::trust_sensitive_snapshot();
         let problem = FusionProblem::from_snapshot(&snap);
-        let opts = FusionOptions::standard().with_input_trust(vec![0.9, 0.5, 0.1]);
-        let trust = initial_trust(&problem, &opts, 0.8);
-        assert_eq!(trust.overall, vec![0.9, 0.5, 0.1]);
-        assert_eq!(effective_rounds(&opts), 1);
-        assert_eq!(effective_rounds(&FusionOptions::standard()), 20);
-    }
-
-    #[test]
-    fn warm_start_seeds_without_capping_rounds() {
-        let (snap, _) = testutil::trust_sensitive_snapshot();
-        let problem = FusionProblem::from_snapshot(&snap);
         let opts = FusionOptions::standard()
             .with_per_attribute_trust()
-            .with_warm_start_trust(vec![0.9, f64::NAN, 0.1]);
+            .with_input_trust(vec![0.9, 0.5, 0.1]);
         let trust = initial_trust(&problem, &opts, 0.8);
-        // Finite slots seed; the NaN slot keeps the method default.
-        assert_eq!(trust.overall, vec![0.9, 0.8, 0.1]);
+        assert_eq!(trust.overall, vec![0.9, 0.5, 0.1]);
+        // Input trust fills every per-attribute slot of its source.
         assert_eq!(trust.per_attr.as_ref().unwrap().of(0, 0), 0.9);
-        assert_eq!(trust.per_attr.as_ref().unwrap().of(1, 0), 0.8);
-        // Warm start does not collapse to a single vote-and-select pass.
-        assert_eq!(effective_rounds(&opts), 20);
-
-        // Input trust wins over a warm seed.
-        let both = FusionOptions::standard()
-            .with_warm_start_trust(vec![0.1, 0.1, 0.1])
-            .with_input_trust(vec![0.7, 0.7, 0.7]);
-        assert_eq!(initial_trust(&problem, &both, 0.8).overall, vec![0.7; 3]);
+        assert_eq!(trust.per_attr.as_ref().unwrap().of(2, 0), 0.1);
+        assert_eq!(effective_rounds(&opts), 1);
+        assert_eq!(effective_rounds(&FusionOptions::standard()), 20);
     }
 }

@@ -31,18 +31,6 @@ pub struct FusionOptions {
     /// sequential path; `n > 1` cuts the candidate/item axis into `n`
     /// weight-balanced ranges run on rayon, bit-identical to sequential.
     pub intra_day_chunks: usize,
-    /// Warm-start trust for the iterative methods, indexed like
-    /// `FusionProblem::sources`: slots with a finite value seed the first
-    /// round's trust estimate; `NaN` slots (and any missing tail) fall back
-    /// to the method's default prior. Unlike [`input_trust`], this does
-    /// **not** cap the run at a single round — iteration proceeds normally,
-    /// it just starts from the supplied point instead of the uniform prior,
-    /// which is how the delta engine's `bounded` mode carries yesterday's
-    /// converged trust into today's re-fusion. Ignored when `input_trust`
-    /// is set (sampled trust already pins the estimate).
-    ///
-    /// [`input_trust`]: Self::input_trust
-    pub warm_start_trust: Option<Vec<f64>>,
 }
 
 impl FusionOptions {
@@ -55,7 +43,6 @@ impl FusionOptions {
             per_attribute_trust: false,
             known_copy_probabilities: None,
             intra_day_chunks: 0,
-            warm_start_trust: None,
         }
     }
 
@@ -81,13 +68,6 @@ impl FusionOptions {
     /// [`crate::chunking`]); `0` or `1` means sequential.
     pub fn with_intra_day_chunks(mut self, chunks: usize) -> Self {
         self.intra_day_chunks = chunks;
-        self
-    }
-
-    /// Seed the iterative methods' first round with `trust` instead of the
-    /// uniform prior (see [`Self::warm_start_trust`]).
-    pub fn with_warm_start_trust(mut self, trust: Vec<f64>) -> Self {
-        self.warm_start_trust = Some(trust);
         self
     }
 

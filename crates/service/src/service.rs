@@ -3,10 +3,10 @@
 
 use crate::ops::{OpKind, Operation};
 use crate::state::{ServedState, ServiceReader, ServiceStats};
-use datamodel::{DomainSchema, ItemId, SnapshotBuilder, SourceId, ToleranceContext};
+use datamodel::{DomainSchema, ItemId, SnapshotBuilder, SourceId, ToleranceContext, Value};
 use evaluation::DeltaUsage;
 use fusion::delta::AdvanceReport;
-use fusion::{method_by_name, DeltaEngine, DeltaPolicy, FusionMethod, FusionOptions};
+use fusion::{method_by_name, DeltaEngine, FusionMethod, FusionOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -19,9 +19,6 @@ pub struct ServiceConfig {
     pub methods: Vec<String>,
     /// Fusion options every method runs under.
     pub options: FusionOptions,
-    /// The wrapped engine's delta policy (default: exact mode, so served
-    /// results are bit-identical to a cold batch run of the sealed day).
-    pub policy: DeltaPolicy,
     /// Pin the tolerance context of every seal after the first to the first
     /// sealed day's (default: true). This is what keeps day-over-day deltas
     /// small — a lone value edit dirties only its own item instead of,
@@ -37,7 +34,6 @@ impl Default for ServiceConfig {
                 .map(|(_, m)| m.name())
                 .collect(),
             options: FusionOptions::standard(),
-            policy: DeltaPolicy::exact(),
             pin_tolerance: true,
         }
     }
@@ -134,7 +130,7 @@ pub struct FusionService {
 
 impl FusionService {
     /// A service over `schema` with the default configuration (all sixteen
-    /// methods, exact delta mode, pinned tolerances).
+    /// methods, pinned tolerances).
     pub fn new(schema: Arc<DomainSchema>) -> Self {
         Self::with_config(schema, ServiceConfig::default())
     }
@@ -153,12 +149,11 @@ impl FusionService {
                     .unwrap_or_else(|| panic!("unknown fusion method {name:?} in ServiceConfig"))
             })
             .collect();
-        let engine = DeltaEngine::with_policy(config.policy.clone());
         Self {
             schema,
             config,
             methods,
-            engine,
+            engine: DeltaEngine::new(),
             ledger: SnapshotBuilder::new(0),
             claim_seq: HashMap::new(),
             source_seq: HashMap::new(),
@@ -232,52 +227,37 @@ impl FusionService {
     }
 
     fn apply_inner(&mut self, op: Operation) -> ApplyOutcome {
+        if let Some(reason) = self.reject_reason(&op.kind) {
+            return ApplyOutcome::Rejected(reason);
+        }
         match op.kind {
             OpKind::UpsertClaim {
                 source,
                 object,
                 attr,
                 value,
-            } => {
-                if attr.index() >= self.schema.num_attributes() {
-                    return ApplyOutcome::Rejected(format!(
-                        "attribute {} out of range for schema with {} attributes",
-                        attr.index(),
-                        self.schema.num_attributes()
-                    ));
+            } => match self.claim_gate(source, object, attr, op.seq) {
+                Ok(()) => {
+                    self.ledger.add(source, object, attr, value);
+                    ApplyOutcome::Applied
                 }
-                match self.claim_gate(source, object, attr, op.seq) {
-                    Ok(()) => {
-                        self.ledger.add(source, object, attr, value);
-                        ApplyOutcome::Applied
-                    }
-                    Err(fail) => fail.into(),
-                }
-            }
+                Err(fail) => fail.into(),
+            },
             OpKind::RetractClaim {
                 source,
                 object,
                 attr,
-            } => {
-                if attr.index() >= self.schema.num_attributes() {
-                    return ApplyOutcome::Rejected(format!(
-                        "attribute {} out of range for schema with {} attributes",
-                        attr.index(),
-                        self.schema.num_attributes()
-                    ));
+            } => match self.claim_gate(source, object, attr, op.seq) {
+                Ok(()) => {
+                    // Applying a retraction for a claim that never arrived
+                    // is still Applied: it records the sequence number, so
+                    // the late upsert it supersedes will be dropped as stale
+                    // whenever it shows up.
+                    self.ledger.remove(source, object, attr);
+                    ApplyOutcome::Applied
                 }
-                match self.claim_gate(source, object, attr, op.seq) {
-                    Ok(()) => {
-                        // Applying a retraction for a claim that never
-                        // arrived is still Applied: it records the sequence
-                        // number, so the late upsert it supersedes will be
-                        // dropped as stale whenever it shows up.
-                        self.ledger.remove(source, object, attr);
-                        ApplyOutcome::Applied
-                    }
-                    Err(fail) => fail.into(),
-                }
-            }
+                Err(fail) => fail.into(),
+            },
             OpKind::SourceLeave { source } => match self.source_gate(source, op.seq) {
                 Ok(()) => {
                     self.offline.insert(source);
@@ -299,6 +279,53 @@ impl FusionService {
                 ApplyOutcome::Sealed(self.seal(day))
             }
         }
+    }
+
+    /// Why `kind` may not enter the ledger, if it may not: a source or
+    /// attribute outside the schema, a claimed value whose kind is not its
+    /// attribute's, or a non-finite number or granularity.
+    fn reject_reason(&self, kind: &OpKind) -> Option<String> {
+        let (source, attr, value) = match kind {
+            OpKind::UpsertClaim {
+                source, attr, value, ..
+            } => (*source, Some(*attr), Some(value)),
+            OpKind::RetractClaim { source, attr, .. } => (*source, Some(*attr), None),
+            OpKind::SourceLeave { source } | OpKind::SourceRejoin { source } => {
+                (*source, None, None)
+            }
+            OpKind::SealDay { .. } => return None,
+        };
+        if source.index() >= self.schema.num_sources() {
+            return Some(format!(
+                "source {} out of range for schema with {} sources",
+                source.index(),
+                self.schema.num_sources()
+            ));
+        }
+        let attr = attr?;
+        if attr.index() >= self.schema.num_attributes() {
+            return Some(format!(
+                "attribute {} out of range for schema with {} attributes",
+                attr.index(),
+                self.schema.num_attributes()
+            ));
+        }
+        let value = value?;
+        let expected = self.schema.attribute(attr).kind.value_kind();
+        if value.kind() != expected {
+            return Some(format!(
+                "{:?} value for {:?} attribute {}",
+                value.kind(),
+                expected,
+                attr.index()
+            ));
+        }
+        if let Value::Number { value: x, granularity } = value {
+            if !x.is_finite() || !granularity.0.is_finite() {
+                return Some(format!("non-finite number {value}"));
+            }
+        }
+        None
     }
 
     /// Last-writer-wins gate for one claim key.
@@ -390,7 +417,7 @@ impl FusionService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamodel::{AttrId, AttrKind, ObjectId, Value};
+    use datamodel::{AttrId, AttrKind, Granularity, ObjectId};
 
     fn schema() -> Arc<DomainSchema> {
         let mut s = DomainSchema::new("test");
@@ -447,13 +474,64 @@ mod tests {
         assert_eq!(svc.ledger_observations(), 1);
     }
 
+    /// Every operation the schema cannot hold is rejected, not just an
+    /// out-of-range attribute: a table of hostile operations.
     #[test]
     fn out_of_range_attribute_is_rejected() {
         let mut svc = vote_service();
-        let bad = Operation::upsert(1, SourceId(0), ObjectId(0), AttrId(7), Value::number(1.0));
-        assert!(matches!(svc.apply(bad), ApplyOutcome::Rejected(_)));
-        assert_eq!(svc.stats().ops_rejected, 1);
-        assert_eq!(svc.ledger_observations(), 0);
+        assert!(matches!(svc.apply(upsert(1, 0, 0, 1.0)), ApplyOutcome::Applied));
+        let claim = |seq, s, attr, value| {
+            Operation::upsert(seq, SourceId(s), ObjectId(1), AttrId(attr), value)
+        };
+        let bad = [
+            ("attribute out of range", claim(2, 0, 7, Value::number(1.0))),
+            (
+                "retract of attribute out of range",
+                Operation::retract(3, SourceId(0), ObjectId(0), AttrId(7)),
+            ),
+            ("source out of range", claim(4, 99, 0, Value::number(1.0))),
+            (
+                "retract by source out of range",
+                Operation::retract(5, SourceId(99), ObjectId(0), AttrId(0)),
+            ),
+            ("leave of source out of range", Operation::leave(6, SourceId(99))),
+            ("rejoin of source out of range", Operation::rejoin(7, SourceId(99))),
+            ("text on a numeric attribute", claim(8, 1, 0, Value::text("abc"))),
+            ("time on a numeric attribute", claim(9, 1, 0, Value::time(5))),
+            ("NaN number", claim(10, 1, 0, Value::number(f64::NAN))),
+            ("infinite number", claim(11, 1, 0, Value::number(f64::INFINITY))),
+            (
+                "NaN granularity",
+                claim(
+                    12,
+                    1,
+                    0,
+                    Value::Number {
+                        value: 1.0,
+                        granularity: Granularity(f64::NAN),
+                    },
+                ),
+            ),
+        ];
+        let count = bad.len();
+        for (label, op) in bad {
+            assert!(
+                matches!(svc.apply(op), ApplyOutcome::Rejected(_)),
+                "{label} must be rejected"
+            );
+            assert_eq!(svc.ledger_observations(), 1, "{label} changed the ledger");
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.ops_rejected, count);
+        assert_eq!(stats.ops_applied, 1);
+
+        // A rejected operation records no sequence number: a valid claim on
+        // the same key at a lower seq still applies.
+        assert!(matches!(svc.apply(upsert(3, 1, 1, 2.0)), ApplyOutcome::Applied));
+        let ApplyOutcome::Sealed(report) = svc.apply(Operation::seal(20, 0)) else {
+            panic!("seal failed");
+        };
+        assert_eq!(report.observations, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Delta-vs-cold equivalence harness for the warm delta fusion engine.
 //!
-//! The contract of `fusion::delta` in exact mode is that warm state is
-//! invisible in the output: a `DeltaEngine` advanced through any day-over-day
+//! The contract of `fusion::delta` is that warm state is invisible in the
+//! output: a `DeltaEngine` advanced through any day-over-day
 //! mutation sequence produces, for every method and every day, results
 //! **bit-identical** to a cold `FusionProblem::from_snapshot` + full run on
 //! that day's snapshot — same selection, same trust bits, same rounds. This
@@ -18,13 +18,10 @@
 //!   (via the CI matrix — the assertions themselves are thread-agnostic);
 //! * the planted `datagen::mutation_stream` worlds, where the observed
 //!   `SnapshotDelta` must equal the planted dirty set exactly.
-//!
-//! Bounded mode is *not* bit-identical by design; fixed-seed pins below hold
-//! its selection agreement and trust drift to empirically chosen tolerances.
 
 use datagen::{generate, mutation_stream, stock_config};
 use datamodel::{Snapshot, SnapshotBuilder, SnapshotDelta, SourceId, Value};
-use fusion::{all_methods, DeltaEngine, DeltaPolicy, FusionOptions, FusionProblem};
+use fusion::{all_methods, DeltaEngine, FusionOptions, FusionProblem};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,7 +187,7 @@ fn assert_sequence_exact(days: &[Snapshot], label: &str) {
         .max()
         .unwrap_or(0);
     for (options, mode) in option_sets(num_sources) {
-        let mut engine = DeltaEngine::with_policy(DeltaPolicy::exact());
+        let mut engine = DeltaEngine::new();
         for (di, (day, cold_problem)) in days.iter().zip(&cold_problems).enumerate() {
             engine.advance(day);
             for (_, method) in &methods {
@@ -305,7 +302,7 @@ fn fixed_mutation_sequence_is_exact_for_all_methods() {
     }
 }
 
-/// Exact mode composes with intra-day chunking: the chunked warm run equals
+/// The engine composes with intra-day chunking: the chunked warm run equals
 /// the *sequential* cold run bit for bit (chunking is bit-invisible, delta
 /// preparation is bit-invisible, so their composition is too).
 #[test]
@@ -315,7 +312,7 @@ fn exact_mode_composes_with_intra_day_chunking() {
     let stream = mutation_stream(base, 2, 0.1, 7);
     let options = FusionOptions::standard().with_intra_day_chunks(3);
     let sequential = FusionOptions::standard();
-    let mut engine = DeltaEngine::with_policy(DeltaPolicy::exact());
+    let mut engine = DeltaEngine::new();
     for (di, day) in stream.days.iter().enumerate() {
         engine.advance(day);
         let cold_problem = FusionProblem::from_snapshot(day);
@@ -329,7 +326,9 @@ fn exact_mode_composes_with_intra_day_chunking() {
 }
 
 /// No-op days hit the per-method result cache: the cached result is returned
-/// without fusing and still equals the cold run.
+/// without fusing and still equals the cold run. A method that skipped a
+/// dirty day stays stale through a later no-op day, so its next run fuses
+/// the current problem instead of replaying the result from before the edit.
 #[test]
 fn no_op_days_are_served_from_the_cache() {
     let domain = generate(&stock_config(21).scaled(0.006, 0.05));
@@ -348,6 +347,21 @@ fn no_op_days_are_served_from_the_cache() {
     assert_bit_identical(&second, &first, "cache replay");
     let cold = method.run(&FusionProblem::from_snapshot(&replay), &options);
     assert_bit_identical(&second, &cold, "cache vs cold");
+
+    // d0 run above; now a dirty d1 advanced without a run, then d1 again.
+    let stream = mutation_stream(day, 1, 0.1, 21);
+    let dirty = &stream.days[1];
+    let report = engine.advance(dirty);
+    assert!(!report.identical, "mutated day must diff dirty");
+    let report = engine.advance(dirty);
+    assert!(report.identical, "repeated day must diff empty");
+    let (third, third_report) = engine.run(method.as_ref(), &options);
+    assert!(
+        !third_report.cache_hit,
+        "a run skipped on a dirty day must not be answered from the cache"
+    );
+    let cold = method.run(&FusionProblem::from_snapshot(dirty), &options);
+    assert_bit_identical(&third, &cold, "skipped dirty day vs cold");
 }
 
 /// The planted mutation-stream worlds: the observed delta equals the planted
@@ -364,52 +378,6 @@ fn mutation_stream_days_observe_their_planted_delta_and_stay_exact() {
         assert!(delta.dirty_attrs().is_empty());
     }
     assert_sequence_exact(&stream.days, "mutation-stream");
-}
-
-/// Bounded mode is not bit-identical; these fixed-seed pins hold its drift.
-/// At a 2% planted dirty fraction the frontier-restricted run must agree with
-/// the cold selection on ≥ 97% of items and keep every source's overall
-/// trust within 0.15 of the cold value (both bounds chosen empirically with
-/// headroom; the suite fails if bounded mode degrades past them).
-#[test]
-fn bounded_mode_stays_within_pinned_tolerances() {
-    let domain = generate(&stock_config(17).scaled(0.01, 0.05));
-    let base = &domain.collection.reference_day().snapshot;
-    let stream = mutation_stream(base, 3, 0.02, 17);
-    let options = FusionOptions::standard();
-    let mut engine = DeltaEngine::with_policy(DeltaPolicy::bounded());
-    for (di, day) in stream.days.iter().enumerate() {
-        engine.advance(day);
-        let cold_problem = FusionProblem::from_snapshot(day);
-        for name in ["Vote", "Cosine"] {
-            let method = fusion::method_by_name(name).expect("registered");
-            let (warm, _) = engine.run(method.as_ref(), &options);
-            let cold = method.run(&cold_problem, &options);
-            assert_eq!(warm.selection.len(), cold.selection.len());
-            let agree = warm
-                .selection
-                .iter()
-                .zip(&cold.selection)
-                .filter(|(w, c)| w == c)
-                .count();
-            let agreement = agree as f64 / cold.selection.len().max(1) as f64;
-            assert!(
-                agreement >= 0.97,
-                "bounded/day={di}/{name}: selection agreement {agreement:.4} below pin"
-            );
-            let max_drift = warm
-                .trust
-                .overall
-                .iter()
-                .zip(&cold.trust.overall)
-                .map(|(w, c)| (w - c).abs())
-                .fold(0.0f64, f64::max);
-            assert!(
-                max_drift <= 0.15,
-                "bounded/day={di}/{name}: trust drift {max_drift:.4} above pin"
-            );
-        }
-    }
 }
 
 proptest! {
