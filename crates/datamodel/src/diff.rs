@@ -8,6 +8,11 @@
 //! the bucketing of *every* item of that attribute, since both the bucket
 //! grouping of Equation 3 and the similarity scale depend on it).
 //!
+//! The online service's [`crate::ClaimLedger`] reaches the same delta
+//! without the whole-world walk: it patches the previous snapshot row by
+//! row and diffs only the rows its ingest touched, through the same per-row
+//! code.
+//!
 //! The diff is the contract between `datamodel` and the warm-state delta
 //! engine in the fusion crate: an item not listed as dirty is guaranteed to
 //! bucket into the exact same candidate values, provider rows, and similarity
@@ -15,8 +20,17 @@
 //! verbatim instead of being recomputed.
 
 use crate::ids::{AttrId, ItemId, SourceId};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Observation, Snapshot};
+use crate::tolerance::ToleranceContext;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
+
+/// Whether `attr`'s tolerance or similarity scale differs between two
+/// contexts, bit for bit.
+fn attr_moved(prev: &ToleranceContext, next: &ToleranceContext, attr: AttrId) -> bool {
+    prev.tolerance(attr).to_bits() != next.tolerance(attr).to_bits()
+        || prev.similarity_scale(attr).to_bits() != next.similarity_scale(attr).to_bits()
+}
 
 /// The difference between two consecutive snapshots of one domain.
 ///
@@ -57,6 +71,55 @@ impl SnapshotDelta {
         delta
     }
 
+    /// Patch `snapshot`, the previous seal, into the next one in place and
+    /// return the delta between the two, as [`crate::ClaimLedger`] does at a
+    /// seal. `rows` yields each item that may have changed with its new row
+    /// (empty when the item is gone); every other row must be unchanged.
+    /// `tolerance: Some` is pinned, `None` recomputes the context from the
+    /// patched values. `added` and `removed` are the sources active in only
+    /// one of the two snapshots.
+    ///
+    /// Under that precondition the result equals [`Self::between`] of the
+    /// snapshot before and after, at the cost of the yielded rows instead of
+    /// the whole world, unless a tolerance moved: then, as in `between`,
+    /// every item of its attribute is dirty.
+    pub(crate) fn patch(
+        snapshot: &mut Snapshot,
+        day: u32,
+        rows: impl IntoIterator<Item = (ItemId, Vec<Observation>)>,
+        tolerance: Option<&ToleranceContext>,
+        added: &[SourceId],
+        removed: &[SourceId],
+    ) -> Self {
+        let mut delta = SnapshotDelta::default();
+        for (item, obs) in rows {
+            let old = snapshot.replace_row(item, obs).unwrap_or_default();
+            delta.diff_row(item, &old, snapshot.observations(item));
+        }
+        let tolerance = tolerance
+            .cloned()
+            .unwrap_or_else(|| snapshot.computed_tolerance());
+        for idx in 0..snapshot.schema().num_attributes() {
+            let attr = AttrId(idx as u16);
+            if attr_moved(snapshot.tolerance(), &tolerance, attr) {
+                delta.dirty_attrs.insert(attr);
+            }
+        }
+        if !delta.dirty_attrs.is_empty() {
+            let moved = snapshot
+                .item_ids()
+                .filter(|i| delta.dirty_attrs.contains(&i.attr));
+            delta.dirty_items.extend(moved);
+        }
+        snapshot.set_tolerance(tolerance);
+        snapshot.set_day(day);
+        delta.num_next_items = snapshot.num_items();
+        delta.added_sources.extend(added);
+        delta.removed_sources.extend(removed);
+        delta.dirty_sources.extend(added.iter().chain(removed));
+        delta
+    }
+
     /// Mark attributes whose tolerance or similarity scale moved. Compared
     /// bit-for-bit: the prepared CSR state (bucket grouping, similarity
     /// edges) is a deterministic function of these floats, so any bit change
@@ -68,71 +131,75 @@ impl SnapshotDelta {
             .max(next.schema().num_attributes());
         for idx in 0..num_attrs {
             let attr = AttrId(idx as u16);
-            let (pt, nt) = (prev.tolerance().tolerance(attr), next.tolerance().tolerance(attr));
-            let (ps, ns) = (
-                prev.tolerance().similarity_scale(attr),
-                next.tolerance().similarity_scale(attr),
-            );
-            if pt.to_bits() != nt.to_bits() || ps.to_bits() != ns.to_bits() {
+            if attr_moved(prev.tolerance(), next.tolerance(), attr) {
                 self.dirty_attrs.insert(attr);
             }
         }
     }
 
-    /// Merge-walk the two (sorted) item maps, marking changed rows dirty and
-    /// diffing per-source claims on every changed row.
+    /// Merge-walk the two (sorted) item maps, diffing every row.
     fn diff_items(&mut self, prev: &Snapshot, next: &Snapshot) {
         let mut prev_it = prev.items().peekable();
         let mut next_it = next.items().peekable();
         loop {
-            match (prev_it.peek(), next_it.peek()) {
+            let order = match (prev_it.peek(), next_it.peek()) {
                 (None, None) => break,
-                (Some(_), None) => {
-                    let (item, obs) = prev_it.next().unwrap();
-                    self.removed_items.insert(*item);
-                    self.dirty_sources.extend(obs.iter().map(|o| o.source));
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((pi, _)), Some((ni, _))) => pi.cmp(ni),
+            };
+            let (item, pobs, nobs) = match order {
+                Ordering::Less => {
+                    let (item, pobs) = prev_it.next().unwrap();
+                    (*item, pobs, &[][..])
                 }
-                (None, Some(_)) => {
-                    let (item, obs) = next_it.next().unwrap();
-                    self.dirty_items.insert(*item);
-                    self.dirty_sources.extend(obs.iter().map(|o| o.source));
+                Ordering::Greater => {
+                    let (item, nobs) = next_it.next().unwrap();
+                    (*item, &[][..], nobs)
                 }
-                (Some((pi, _)), Some((ni, _))) => {
-                    if pi < ni {
-                        let (item, obs) = prev_it.next().unwrap();
-                        self.removed_items.insert(*item);
-                        self.dirty_sources.extend(obs.iter().map(|o| o.source));
-                    } else if ni < pi {
-                        let (item, obs) = next_it.next().unwrap();
-                        self.dirty_items.insert(*item);
-                        self.dirty_sources.extend(obs.iter().map(|o| o.source));
-                    } else {
-                        let (item, pobs) = prev_it.next().unwrap();
-                        let (_, nobs) = next_it.next().unwrap();
-                        let row_changed = pobs != nobs;
-                        if row_changed || self.dirty_attrs.contains(&item.attr) {
-                            self.dirty_items.insert(*item);
-                        }
-                        if row_changed {
-                            // A reordered-but-equal claim set still dirties
-                            // the item (observation order feeds bucket
-                            // order), but only sources whose *claim* on this
-                            // item changed are trust-dirty.
-                            for p in pobs {
-                                match nobs.iter().find(|n| n.source == p.source) {
-                                    Some(n) if n.value == p.value => {}
-                                    _ => {
-                                        self.dirty_sources.insert(p.source);
-                                    }
-                                }
-                            }
-                            for n in nobs {
-                                if !pobs.iter().any(|p| p.source == n.source) {
-                                    self.dirty_sources.insert(n.source);
-                                }
-                            }
-                        }
+                Ordering::Equal => {
+                    let (item, pobs) = prev_it.next().unwrap();
+                    (*item, pobs, next_it.next().unwrap().1)
+                }
+            };
+            self.diff_row(item, pobs, nobs);
+        }
+    }
+
+    /// Diff one item's rows; an empty row is an item absent from its
+    /// snapshot (snapshots never carry observation-less items).
+    fn diff_row(&mut self, item: ItemId, pobs: &[Observation], nobs: &[Observation]) {
+        if nobs.is_empty() {
+            if !pobs.is_empty() {
+                self.removed_items.insert(item);
+                self.dirty_sources.extend(pobs.iter().map(|o| o.source));
+            }
+            return;
+        }
+        if pobs.is_empty() {
+            self.dirty_items.insert(item);
+            self.dirty_sources.extend(nobs.iter().map(|o| o.source));
+            return;
+        }
+        let row_changed = pobs != nobs;
+        if row_changed || self.dirty_attrs.contains(&item.attr) {
+            self.dirty_items.insert(item);
+        }
+        if row_changed {
+            // A reordered-but-equal claim set still dirties the item
+            // (observation order feeds bucket order), but only sources whose
+            // *claim* on this item changed are trust-dirty.
+            for p in pobs {
+                match nobs.iter().find(|n| n.source == p.source) {
+                    Some(n) if n.value == p.value => {}
+                    _ => {
+                        self.dirty_sources.insert(p.source);
                     }
+                }
+            }
+            for n in nobs {
+                if !pobs.iter().any(|p| p.source == n.source) {
+                    self.dirty_sources.insert(n.source);
                 }
             }
         }

@@ -22,6 +22,7 @@ pub mod csv;
 pub mod diff;
 pub mod gold;
 pub mod ids;
+pub mod ledger;
 pub mod schema;
 pub mod snapshot;
 pub mod stats;
@@ -34,6 +35,7 @@ pub use collection::{Collection, CollectionDay};
 pub use diff::SnapshotDelta;
 pub use gold::GoldStandard;
 pub use ids::{AttrId, ItemId, ObjectId, SourceId};
+pub use ledger::{ClaimLedger, LedgerWrite};
 pub use schema::{AttrKind, AttributeDef, DomainSchema, SourceInfo};
 pub use snapshot::{Observation, Snapshot, SnapshotBuilder};
 pub use stats::{entropy, mean, median, percentile, stddev};

@@ -86,11 +86,10 @@ impl SnapshotBuilder {
         self.day
     }
 
-    /// Retarget the builder to another day.
-    ///
-    /// The online fusion service keeps one builder alive as a persistent
-    /// claim ledger and re-stamps it before every seal, instead of replaying
-    /// all claims into a fresh builder per day.
+    /// Retarget the builder to another day, so one builder kept alive as a
+    /// claim ledger can be re-stamped before every [`Self::materialize`]
+    /// instead of replaying all claims into a fresh builder per day. (The
+    /// online service keeps its claims in a [`crate::ClaimLedger`].)
     pub fn set_day(&mut self, day: u32) {
         self.day = day;
     }
@@ -138,45 +137,13 @@ impl SnapshotBuilder {
             kept.sort_by_key(|o| o.source);
             items.insert(*item, kept);
         }
-        let tolerance = match tolerance {
-            Some(t) => t.clone(),
-            None => {
-                let mut values_per_attr: Vec<Vec<Value>> =
-                    vec![Vec::new(); schema.num_attributes()];
-                for (item, obs) in &items {
-                    let slot = &mut values_per_attr[item.attr.index()];
-                    for o in obs {
-                        slot.push(o.value.clone());
-                    }
-                }
-                ToleranceContext::from_values(&schema, &values_per_attr, self.policy)
-            }
-        };
-        Snapshot {
-            schema,
-            day: self.day,
-            items,
-            tolerance,
-        }
+        Snapshot::from_items(schema, self.day, items, tolerance, self.policy)
     }
 
     /// Finalize the snapshot: computes the per-attribute tolerance context
     /// from all recorded values.
     pub fn build(self, schema: Arc<DomainSchema>) -> Snapshot {
-        let mut values_per_attr: Vec<Vec<Value>> = vec![Vec::new(); schema.num_attributes()];
-        for (item, obs) in &self.items {
-            let slot = &mut values_per_attr[item.attr.index()];
-            for o in obs {
-                slot.push(o.value.clone());
-            }
-        }
-        let tolerance = ToleranceContext::from_values(&schema, &values_per_attr, self.policy);
-        Snapshot {
-            schema,
-            day: self.day,
-            items: self.items,
-            tolerance,
-        }
+        Snapshot::from_items(schema, self.day, self.items, None, self.policy)
     }
 
     /// Finalize the snapshot with an explicit, caller-provided tolerance
@@ -201,6 +168,22 @@ impl SnapshotBuilder {
     }
 }
 
+/// The tolerance context `items`' values give under `policy`.
+fn tolerance_of(
+    schema: &DomainSchema,
+    items: &BTreeMap<ItemId, Vec<Observation>>,
+    policy: TolerancePolicy,
+) -> ToleranceContext {
+    let mut values_per_attr: Vec<Vec<Value>> = vec![Vec::new(); schema.num_attributes()];
+    for (item, obs) in items {
+        let slot = &mut values_per_attr[item.attr.index()];
+        for o in obs {
+            slot.push(o.value.clone());
+        }
+    }
+    ToleranceContext::from_values(schema, &values_per_attr, policy)
+}
+
 /// The observation table for one domain on one day.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -211,6 +194,70 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// A snapshot of `items`, bucketing with `tolerance` pinned verbatim, or
+    /// with a context computed from the items' values under `policy` when
+    /// `None`.
+    pub(crate) fn from_items(
+        schema: Arc<DomainSchema>,
+        day: u32,
+        items: BTreeMap<ItemId, Vec<Observation>>,
+        tolerance: Option<&ToleranceContext>,
+        policy: TolerancePolicy,
+    ) -> Snapshot {
+        let tolerance = match tolerance {
+            Some(t) => t.clone(),
+            None => tolerance_of(&schema, &items, policy),
+        };
+        Snapshot {
+            schema,
+            day,
+            items,
+            tolerance,
+        }
+    }
+
+    /// The snapshot of `day` with no items, under the default tolerance
+    /// policy.
+    pub(crate) fn empty(schema: Arc<DomainSchema>, day: u32) -> Snapshot {
+        Self::from_items(
+            schema,
+            day,
+            BTreeMap::new(),
+            None,
+            TolerancePolicy::default(),
+        )
+    }
+
+    /// The tolerance context this snapshot's own values give under its
+    /// policy.
+    pub(crate) fn computed_tolerance(&self) -> ToleranceContext {
+        tolerance_of(&self.schema, &self.items, self.tolerance.policy())
+    }
+
+    /// Bucket with `tolerance` from now on.
+    pub(crate) fn set_tolerance(&mut self, tolerance: ToleranceContext) {
+        self.tolerance = tolerance;
+    }
+
+    /// Replace `item`'s row with `obs` (an empty row removes the item),
+    /// returning the old row.
+    pub(crate) fn replace_row(
+        &mut self,
+        item: ItemId,
+        obs: Vec<Observation>,
+    ) -> Option<Vec<Observation>> {
+        if obs.is_empty() {
+            self.items.remove(&item)
+        } else {
+            self.items.insert(item, obs)
+        }
+    }
+
+    /// Re-stamp the snapshot as `day`'s.
+    pub(crate) fn set_day(&mut self, day: u32) {
+        self.day = day;
+    }
+
     /// The day index this snapshot was collected on.
     pub fn day(&self) -> u32 {
         self.day

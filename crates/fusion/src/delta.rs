@@ -8,7 +8,10 @@
 //! reusable [`FusionScratch`] (including the copy-pair LLR buffers the
 //! copy-aware methods re-score into) — and, given the next snapshot:
 //!
-//! 1. diffs it against the previous one ([`SnapshotDelta`]),
+//! 1. diffs it against the previous one ([`SnapshotDelta`]), or lets the
+//!    caller supply both ([`advance_with`](DeltaEngine::advance_with): the
+//!    online service's claim ledger patches the previous snapshot and diffs
+//!    only the rows its ingest touched),
 //! 2. refills only the dirty CSR rows in place
 //!    ([`ProblemBuilder::prepare_delta`], splicing clean rows forward), and
 //! 3. re-runs each method over the full spliced problem deterministically,
@@ -70,7 +73,9 @@ pub struct AdvanceReport {
     pub removed_sources: usize,
     /// The delta's dirty fraction (`1.0` on the first day).
     pub dirty_fraction: f64,
-    /// Wall-clock time of the preparation (diff + refill).
+    /// Wall-clock time of the preparation: producing the snapshot and its
+    /// delta (a copy and [`SnapshotDelta::between`], or the caller's step),
+    /// then the refill.
     pub prepare: Duration,
 }
 
@@ -152,58 +157,80 @@ impl DeltaEngine {
     /// refill only the dirty CSR rows (or re-prepare from scratch above
     /// [`MAX_DIRTY_FRACTION`]). Every method's cached result goes stale
     /// unless the delta is empty.
+    ///
+    /// This is [`advance_with`](Self::advance_with) of a step that diffs by
+    /// [`SnapshotDelta::between`] and takes a copy of `snapshot`.
     pub fn advance(&mut self, snapshot: &Snapshot) -> AdvanceReport {
+        self.advance_with(|prev| {
+            let delta = prev
+                .map(|prev| SnapshotDelta::between(&prev, snapshot))
+                .unwrap_or_default();
+            (snapshot.clone(), delta)
+        })
+    }
+
+    /// Advance the engine by a caller-supplied step. `step` receives the
+    /// current snapshot by value (`None` before the first) and returns the
+    /// next snapshot together with the delta to it, which must equal
+    /// [`SnapshotDelta::between`] of the two; the delta is ignored on the
+    /// first snapshot, which is prepared cold. A caller that knows which
+    /// rows changed, like the service's claim ledger, can patch the current
+    /// snapshot in place and diff only those rows, with no whole-world copy
+    /// or diff. The report's `prepare` covers the step and the refill.
+    pub fn advance_with(
+        &mut self,
+        step: impl FnOnce(Option<Snapshot>) -> (Snapshot, SnapshotDelta),
+    ) -> AdvanceReport {
         let started = Instant::now();
-        let report = match &self.current {
-            None => {
-                self.builder.prepare(snapshot);
-                self.delta = SnapshotDelta::default();
+        let first_day = self.current.is_none();
+        let (snapshot, delta) = step(self.current.take());
+        let report = if first_day {
+            self.builder.prepare(&snapshot);
+            self.delta = SnapshotDelta::default();
+            self.mark_stale();
+            let sources = self.builder.problem().num_sources();
+            AdvanceReport {
+                day: snapshot.day(),
+                first_day: true,
+                identical: false,
+                full_refresh: true,
+                dirty_items: snapshot.num_items(),
+                removed_items: 0,
+                dirty_sources: sources,
+                added_sources: sources,
+                removed_sources: 0,
+                dirty_fraction: 1.0,
+                prepare: started.elapsed(),
+            }
+        } else {
+            let identical = delta.is_empty();
+            let fraction = delta.dirty_fraction();
+            let full_refresh = !identical && fraction > MAX_DIRTY_FRACTION;
+            if full_refresh {
+                self.builder.prepare(&snapshot);
+            } else if !identical {
+                self.builder.prepare_delta(&snapshot, &delta);
+            }
+            if !identical {
                 self.mark_stale();
-                AdvanceReport {
-                    day: snapshot.day(),
-                    first_day: true,
-                    identical: false,
-                    full_refresh: true,
-                    dirty_items: snapshot.num_items(),
-                    removed_items: 0,
-                    dirty_sources: snapshot.active_sources().len(),
-                    added_sources: snapshot.active_sources().len(),
-                    removed_sources: 0,
-                    dirty_fraction: 1.0,
-                    prepare: started.elapsed(),
-                }
             }
-            Some(prev) => {
-                let delta = SnapshotDelta::between(prev, snapshot);
-                let identical = delta.is_empty();
-                let fraction = delta.dirty_fraction();
-                let full_refresh = !identical && fraction > MAX_DIRTY_FRACTION;
-                if full_refresh {
-                    self.builder.prepare(snapshot);
-                } else if !identical {
-                    self.builder.prepare_delta(snapshot, &delta);
-                }
-                if !identical {
-                    self.mark_stale();
-                }
-                let report = AdvanceReport {
-                    day: snapshot.day(),
-                    first_day: false,
-                    identical,
-                    full_refresh,
-                    dirty_items: delta.dirty_items().len(),
-                    removed_items: delta.removed_items().len(),
-                    dirty_sources: delta.dirty_sources().len(),
-                    added_sources: delta.added_sources().len(),
-                    removed_sources: delta.removed_sources().len(),
-                    dirty_fraction: fraction,
-                    prepare: started.elapsed(),
-                };
-                self.delta = delta;
-                report
-            }
+            let report = AdvanceReport {
+                day: snapshot.day(),
+                first_day: false,
+                identical,
+                full_refresh,
+                dirty_items: delta.dirty_items().len(),
+                removed_items: delta.removed_items().len(),
+                dirty_sources: delta.dirty_sources().len(),
+                added_sources: delta.added_sources().len(),
+                removed_sources: delta.removed_sources().len(),
+                dirty_fraction: fraction,
+                prepare: started.elapsed(),
+            };
+            self.delta = delta;
+            report
         };
-        self.current = Some(snapshot.clone());
+        self.current = Some(snapshot);
         report
     }
 

@@ -10,17 +10,24 @@
 //! A [`FusionService`] accepts a stream of typed [`Operation`]s —
 //! [`UpsertClaim`](OpKind::UpsertClaim), [`RetractClaim`](OpKind::RetractClaim),
 //! [`SourceLeave`](OpKind::SourceLeave) / [`SourceRejoin`](OpKind::SourceRejoin),
-//! and [`SealDay`](OpKind::SealDay) — applied to an internal persistent claim
-//! ledger (a [`datamodel::SnapshotBuilder`] plus per-key sequence numbers).
-//! Operations carry a producer-assigned sequence number and are **idempotent
-//! under duplication and commutative under reordering** within a day: for
-//! each claim key `(source, item)` (and each source for leave/rejoin) the
-//! highest sequence number wins, exact replays are
+//! and [`SealDay`](OpKind::SealDay) — applied to one persistent
+//! [`datamodel::ClaimLedger`]. The ledger interns each item to a row of
+//! source-sorted slots, and each slot holds one claim's value (or a
+//! retraction's tombstone) together with its sequence gate, so a write is
+//! one lookup. Operations carry a producer-assigned sequence number and are
+//! **idempotent under duplication and commutative under reordering** within
+//! a day: for each claim key `(source, item)` (and each source for
+//! leave/rejoin) the highest sequence number wins, exact replays are
 //! [`Duplicate`](ApplyOutcome::Duplicate) no-ops, and late lower-seq arrivals
-//! are [`Stale`](ApplyOutcome::Stale) no-ops. `SealDay` materializes the
-//! ledger into a canonical snapshot (per-item observations in `SourceId`
-//! order, tolerances pinned to the first sealed day) and advances the
-//! [`fusion::DeltaEngine`], so consecutive seals pay only for what changed.
+//! are [`Stale`](ApplyOutcome::Stale) no-ops. Re-sending a claim's stored
+//! value only raises its sequence number.
+//!
+//! `SealDay` has the ledger patch the previous sealed snapshot into a
+//! canonical one for the day (per-item observations in `SourceId` order,
+//! tolerances pinned to the first sealed day), rebuilding and diffing only
+//! the rows ingest touched since the last seal. That delta advances the
+//! [`fusion::DeltaEngine`], so consecutive seals pay for preparation only
+//! where something changed.
 //!
 //! # Read path
 //!

@@ -2,13 +2,15 @@
 //! [`DeltaEngine`], and the publication slot.
 
 use crate::ops::{OpKind, Operation};
-use crate::state::{ServedState, ServiceReader, ServiceStats};
-use datamodel::{DomainSchema, ItemId, SnapshotBuilder, SourceId, ToleranceContext, Value};
+use crate::state::{Reject, ServedState, ServiceReader, ServiceStats};
+use datamodel::{
+    ClaimLedger, DomainSchema, ItemId, LedgerWrite, Snapshot, SnapshotDelta, ToleranceContext,
+    Value,
+};
 use evaluation::DeltaUsage;
 use fusion::delta::AdvanceReport;
 use fusion::{method_by_name, DeltaEngine, FusionMethod, FusionOptions};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Tuning of a [`FusionService`].
@@ -67,8 +69,9 @@ pub struct SealReport {
     pub advance: AdvanceReport,
     /// Wall clock spent inside the fusion methods.
     pub fuse: Duration,
-    /// Wall clock of the whole seal (materialize + advance + fuse +
-    /// publish).
+    /// Wall clock of the whole seal: the ledger's seal and the engine's
+    /// refill (together `advance.prepare`), the fusion (`fuse`), and
+    /// building and publishing the new [`ServedState`].
     pub total: Duration,
 }
 
@@ -87,19 +90,12 @@ pub struct IngestSummary {
     pub seals: usize,
 }
 
-/// Why a sequence gate dropped an operation (kept separate from
-/// [`ApplyOutcome`] so the gates' `Err` stays word-sized).
-#[derive(Debug, Clone, Copy)]
-enum GateFail {
-    Duplicate,
-    Stale,
-}
-
-impl From<GateFail> for ApplyOutcome {
-    fn from(fail: GateFail) -> Self {
-        match fail {
-            GateFail::Duplicate => ApplyOutcome::Duplicate,
-            GateFail::Stale => ApplyOutcome::Stale,
+impl From<LedgerWrite> for ApplyOutcome {
+    fn from(write: LedgerWrite) -> Self {
+        match write {
+            LedgerWrite::Applied => ApplyOutcome::Applied,
+            LedgerWrite::Duplicate => ApplyOutcome::Duplicate,
+            LedgerWrite::Stale => ApplyOutcome::Stale,
         }
     }
 }
@@ -112,15 +108,12 @@ pub struct FusionService {
     schema: Arc<DomainSchema>,
     config: ServiceConfig,
     methods: Vec<Box<dyn FusionMethod>>,
+    /// Holds the last sealed snapshot, which the next seal patches.
     engine: DeltaEngine,
-    /// Persistent claim ledger; claims of offline sources stay here and are
-    /// filtered out at materialization.
-    ledger: SnapshotBuilder,
-    /// Highest applied sequence number per claim key.
-    claim_seq: HashMap<(SourceId, ItemId), u64>,
-    /// Highest applied sequence number per source presence key.
-    source_seq: HashMap<SourceId, u64>,
-    offline: BTreeSet<SourceId>,
+    /// Every claim and presence with its sequence gate. Claims of offline
+    /// sources stay here and are left out of sealed snapshots.
+    ledger: ClaimLedger,
+    /// The first sealed day's tolerances, when pinning.
     pinned: Option<ToleranceContext>,
     next_day: u32,
     version: u64,
@@ -154,10 +147,7 @@ impl FusionService {
             config,
             methods,
             engine: DeltaEngine::new(),
-            ledger: SnapshotBuilder::new(0),
-            claim_seq: HashMap::new(),
-            source_seq: HashMap::new(),
-            offline: BTreeSet::new(),
+            ledger: ClaimLedger::new(),
             pinned: None,
             next_day: 0,
             version: 0,
@@ -180,7 +170,19 @@ impl FusionService {
 
     /// Claims currently in the ledger (including those of offline sources).
     pub fn ledger_observations(&self) -> usize {
-        self.ledger.num_observations()
+        self.ledger.num_claims()
+    }
+
+    /// The snapshot the last seal advanced the engine to (`None` before the
+    /// first seal).
+    pub fn sealed_snapshot(&self) -> Option<&Snapshot> {
+        self.engine.current_snapshot()
+    }
+
+    /// The delta the last seal advanced the engine by (empty on the first
+    /// seal).
+    pub fn last_delta(&self) -> &SnapshotDelta {
+        self.engine.last_delta()
     }
 
     /// Current cumulative accounting (the published state carries the copy
@@ -227,64 +229,42 @@ impl FusionService {
     }
 
     fn apply_inner(&mut self, op: Operation) -> ApplyOutcome {
-        if let Some(reason) = self.reject_reason(&op.kind) {
+        if let Some((reject, reason)) = self.reject_reason(&op.kind) {
+            self.stats.count_reject(reject);
             return ApplyOutcome::Rejected(reason);
         }
-        match op.kind {
+        let write = match op.kind {
             OpKind::UpsertClaim {
                 source,
                 object,
                 attr,
                 value,
-            } => match self.claim_gate(source, object, attr, op.seq) {
-                Ok(()) => {
-                    self.ledger.add(source, object, attr, value);
-                    ApplyOutcome::Applied
-                }
-                Err(fail) => fail.into(),
-            },
+            } => self
+                .ledger
+                .upsert(source, ItemId::new(object, attr), value, op.seq),
             OpKind::RetractClaim {
                 source,
                 object,
                 attr,
-            } => match self.claim_gate(source, object, attr, op.seq) {
-                Ok(()) => {
-                    // Applying a retraction for a claim that never arrived
-                    // is still Applied: it records the sequence number, so
-                    // the late upsert it supersedes will be dropped as stale
-                    // whenever it shows up.
-                    self.ledger.remove(source, object, attr);
-                    ApplyOutcome::Applied
-                }
-                Err(fail) => fail.into(),
-            },
-            OpKind::SourceLeave { source } => match self.source_gate(source, op.seq) {
-                Ok(()) => {
-                    self.offline.insert(source);
-                    ApplyOutcome::Applied
-                }
-                Err(fail) => fail.into(),
-            },
-            OpKind::SourceRejoin { source } => match self.source_gate(source, op.seq) {
-                Ok(()) => {
-                    self.offline.remove(&source);
-                    ApplyOutcome::Applied
-                }
-                Err(fail) => fail.into(),
-            },
+            } => self
+                .ledger
+                .retract(source, ItemId::new(object, attr), op.seq),
+            OpKind::SourceLeave { source } => self.ledger.set_online(source, false, op.seq),
+            OpKind::SourceRejoin { source } => self.ledger.set_online(source, true, op.seq),
             OpKind::SealDay { day } => {
                 if day < self.next_day {
                     return ApplyOutcome::Duplicate;
                 }
-                ApplyOutcome::Sealed(self.seal(day))
+                return ApplyOutcome::Sealed(self.seal(day));
             }
-        }
+        };
+        write.into()
     }
 
     /// Why `kind` may not enter the ledger, if it may not: a source or
     /// attribute outside the schema, a claimed value whose kind is not its
     /// attribute's, or a non-finite number or granularity.
-    fn reject_reason(&self, kind: &OpKind) -> Option<String> {
+    fn reject_reason(&self, kind: &OpKind) -> Option<(Reject, String)> {
         let (source, attr, value) = match kind {
             OpKind::UpsertClaim {
                 source, attr, value, ..
@@ -296,84 +276,64 @@ impl FusionService {
             OpKind::SealDay { .. } => return None,
         };
         if source.index() >= self.schema.num_sources() {
-            return Some(format!(
-                "source {} out of range for schema with {} sources",
-                source.index(),
-                self.schema.num_sources()
+            return Some((
+                Reject::Source,
+                format!(
+                    "source {} out of range for schema with {} sources",
+                    source.index(),
+                    self.schema.num_sources()
+                ),
             ));
         }
         let attr = attr?;
         if attr.index() >= self.schema.num_attributes() {
-            return Some(format!(
-                "attribute {} out of range for schema with {} attributes",
-                attr.index(),
-                self.schema.num_attributes()
+            return Some((
+                Reject::Attribute,
+                format!(
+                    "attribute {} out of range for schema with {} attributes",
+                    attr.index(),
+                    self.schema.num_attributes()
+                ),
             ));
         }
         let value = value?;
         let expected = self.schema.attribute(attr).kind.value_kind();
         if value.kind() != expected {
-            return Some(format!(
-                "{:?} value for {:?} attribute {}",
-                value.kind(),
-                expected,
-                attr.index()
+            return Some((
+                Reject::Kind,
+                format!(
+                    "{:?} value for {:?} attribute {}",
+                    value.kind(),
+                    expected,
+                    attr.index()
+                ),
             ));
         }
         if let Value::Number { value: x, granularity } = value {
             if !x.is_finite() || !granularity.0.is_finite() {
-                return Some(format!("non-finite number {value}"));
+                return Some((Reject::NonFinite, format!("non-finite number {value}")));
             }
         }
         None
     }
 
-    /// Last-writer-wins gate for one claim key.
-    fn claim_gate(
-        &mut self,
-        source: SourceId,
-        object: datamodel::ObjectId,
-        attr: datamodel::AttrId,
-        seq: u64,
-    ) -> Result<(), GateFail> {
-        let key = (source, ItemId::new(object, attr));
-        match self.claim_seq.get(&key) {
-            Some(&applied) if seq == applied => Err(GateFail::Duplicate),
-            Some(&applied) if seq < applied => Err(GateFail::Stale),
-            _ => {
-                self.claim_seq.insert(key, seq);
-                Ok(())
-            }
-        }
-    }
-
-    /// Last-writer-wins gate for one source's presence.
-    fn source_gate(&mut self, source: SourceId, seq: u64) -> Result<(), GateFail> {
-        match self.source_seq.get(&source) {
-            Some(&applied) if seq == applied => Err(GateFail::Duplicate),
-            Some(&applied) if seq < applied => Err(GateFail::Stale),
-            _ => {
-                self.source_seq.insert(source, seq);
-                Ok(())
-            }
-        }
-    }
-
-    /// Materialize the ledger for `day`, advance the engine, fuse every
-    /// configured method, and publish the new [`ServedState`].
+    /// Seal the ledger into the snapshot of `day` and its delta (patching
+    /// the engine's current snapshot), advance the engine by that delta,
+    /// fuse every configured method, and publish the new [`ServedState`].
     fn seal(&mut self, day: u32) -> SealReport {
         let started = Instant::now();
-        self.ledger.set_day(day);
-        let snapshot = self
-            .ledger
-            .materialize(Arc::clone(&self.schema), self.pinned.as_ref(), &self.offline);
-        if self.config.pin_tolerance && self.pinned.is_none() {
-            self.pinned = Some(snapshot.tolerance().clone());
-        }
-
+        let (ledger, schema, pinned) = (&mut self.ledger, &self.schema, self.pinned.as_ref());
+        let advance = self
+            .engine
+            .advance_with(|prev| ledger.seal(Arc::clone(schema), day, pinned, prev));
         let mut seal_usage = DeltaUsage::default();
-        let advance = self.engine.advance(&snapshot);
         seal_usage.record_advance(&advance);
+        let sealed = self.engine.current_snapshot();
+        let (items, observations) =
+            sealed.map_or((0, 0), |s| (s.num_items(), s.num_observations()));
+        if self.config.pin_tolerance && self.pinned.is_none() {
+            self.pinned = sealed.map(|s| s.tolerance().clone());
+        }
 
         let mut fuse = Duration::ZERO;
         let mut results = Vec::with_capacity(self.methods.len());
@@ -399,14 +359,22 @@ impl FusionService {
             &results,
             self.stats.clone(),
         );
-        *self.shared.write().expect("served state lock poisoned") = Arc::new(state);
+        // The slot only ever holds a complete `Arc`, so a writer that
+        // panicked while holding the lock left nothing half-written. The
+        // replaced state is dropped after the lock is released, so readers
+        // never wait on freeing it.
+        let replaced = std::mem::replace(
+            &mut *self.shared.write().unwrap_or_else(PoisonError::into_inner),
+            Arc::new(state),
+        );
+        drop(replaced);
 
         let total = started.elapsed();
         self.stats.seal_wall += total - pre_publish;
         SealReport {
             day,
-            items: snapshot.num_items(),
-            observations: snapshot.num_observations(),
+            items,
+            observations,
             advance,
             fuse,
             total,
@@ -417,7 +385,7 @@ impl FusionService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamodel::{AttrId, AttrKind, Granularity, ObjectId};
+    use datamodel::{AttrId, AttrKind, Granularity, ObjectId, SourceId};
 
     fn schema() -> Arc<DomainSchema> {
         let mut s = DomainSchema::new("test");
@@ -523,6 +491,10 @@ mod tests {
         }
         let stats = svc.stats();
         assert_eq!(stats.ops_rejected, count);
+        assert_eq!(stats.rejected_attribute, 2);
+        assert_eq!(stats.rejected_source, 4);
+        assert_eq!(stats.rejected_kind, 2);
+        assert_eq!(stats.rejected_non_finite, 3);
         assert_eq!(stats.ops_applied, 1);
 
         // A rejected operation records no sequence number: a valid claim on
@@ -643,6 +615,30 @@ mod tests {
         let ta: Vec<u64> = a.trust_vector("Vote").unwrap().iter().map(|t| t.to_bits()).collect();
         let tb: Vec<u64> = b.trust_vector("Vote").unwrap().iter().map(|t| t.to_bits()).collect();
         assert_eq!(ta, tb);
+    }
+
+    /// The publication slot only ever holds a complete `Arc`, so a panic
+    /// while its lock is held loses nothing: readers still read, and the
+    /// next seal still publishes.
+    #[test]
+    fn a_poisoned_lock_still_reads_and_publishes() {
+        let mut svc = vote_service();
+        svc.apply(upsert(0, 0, 0, 1.0));
+        svc.apply(Operation::seal(1, 0));
+        let shared = Arc::clone(&svc.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = shared.write().unwrap();
+            panic!("poison the served state lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(svc.shared.is_poisoned());
+
+        let reader = svc.reader();
+        assert_eq!(reader.day(), Some(0));
+        svc.apply(upsert(2, 1, 0, 1.0));
+        assert!(matches!(svc.apply(Operation::seal(3, 1)), ApplyOutcome::Sealed(_)));
+        assert_eq!(reader.day(), Some(1));
+        assert_eq!(reader.state().items().len(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use datamodel::{ItemId, SourceId, Value};
 use evaluation::DeltaUsage;
 use fusion::{FusionProblem, FusionResult};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Cumulative service accounting: ingest outcomes, seal timings, and the
@@ -24,11 +24,20 @@ pub struct ServiceStats {
     pub ops_duplicate: usize,
     /// Late lower-sequence arrivals dropped by last-writer-wins.
     pub ops_stale: usize,
-    /// Operations rejected outright (e.g. sealing a future day twice over).
+    /// Operations rejected at the ingest boundary: the sum of the four
+    /// per-reason counts below.
     pub ops_rejected: usize,
+    /// Rejected for naming a source outside the schema.
+    pub rejected_source: usize,
+    /// Rejected for naming an attribute outside the schema.
+    pub rejected_attribute: usize,
+    /// Rejected for a value whose kind is not its attribute's.
+    pub rejected_kind: usize,
+    /// Rejected for a non-finite number or granularity.
+    pub rejected_non_finite: usize,
     /// Days sealed so far.
     pub seals: usize,
-    /// Total wall clock spent sealing (materialize + advance + fuse +
+    /// Total wall clock spent sealing (ledger seal + advance + fuse +
     /// publish).
     pub seal_wall: Duration,
     /// Portion of `seal_wall` spent inside the fusion methods themselves.
@@ -37,7 +46,26 @@ pub struct ServiceStats {
     pub delta: DeltaUsage,
 }
 
+/// Why the ingest boundary rejected an operation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reject {
+    Source,
+    Attribute,
+    Kind,
+    NonFinite,
+}
+
 impl ServiceStats {
+    /// Count one rejected operation under its reason.
+    pub(crate) fn count_reject(&mut self, reject: Reject) {
+        *match reject {
+            Reject::Source => &mut self.rejected_source,
+            Reject::Attribute => &mut self.rejected_attribute,
+            Reject::Kind => &mut self.rejected_kind,
+            Reject::NonFinite => &mut self.rejected_non_finite,
+        } += 1;
+    }
+
     /// Mean wall clock per seal (zero before the first seal).
     pub fn mean_seal(&self) -> Duration {
         if self.seals == 0 {
@@ -306,9 +334,10 @@ impl ServiceReader {
 
     /// The current published state. Holding the returned `Arc` pins that
     /// state (not the lock): later seals publish new states without
-    /// disturbing it.
+    /// disturbing it. A poisoned lock still holds a complete state, so it
+    /// is read through.
     pub fn state(&self) -> Arc<ServedState> {
-        Arc::clone(&self.shared.read().expect("served state lock poisoned"))
+        Arc::clone(&self.shared.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The latest sealed day (`None` before the first seal).

@@ -167,7 +167,11 @@ fn readers_never_observe_torn_state(num_readers: usize) {
                 let mut last_day = None;
                 let mut last_version = 0u64;
                 let mut observed_published = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                // Stop only after a read that began once the ingest side
+                // had finished, so every reader sees the last published
+                // state however late it was first scheduled.
+                loop {
+                    let stopping = stop.load(Ordering::Acquire);
                     let state = reader.state();
                     assert!(state.version() >= last_version, "version went backwards");
                     assert!(state.day() >= last_day, "day went backwards");
@@ -194,6 +198,9 @@ fn readers_never_observe_torn_state(num_readers: usize) {
                         assert!(!answer.sources.is_empty());
                         assert!((0.0..=1.0).contains(&answer.confidence));
                     }
+                    if stopping {
+                        break;
+                    }
                 }
                 observed_published
             }));
@@ -215,7 +222,7 @@ fn readers_never_observe_torn_state(num_readers: usize) {
             );
             prev = day.clone();
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
         for handle in handles {
             let observed = handle.join().expect("reader panicked");
             assert!(observed > 0, "reader never saw a published state");
