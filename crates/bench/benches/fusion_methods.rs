@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks of the fusion methods (the cost side of
 //! Figure 12): per-method end-to-end fusion time on a reduced Stock and
 //! Flight snapshot, the cost of problem preparation, and the sequential
-//! vs. parallel evaluation-runner guard.
+//! vs. `evaluate_days` fan-out guard.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{flight_config, generate, stock_config};
-use evaluation::{evaluate_all_methods, same_results, EvaluationContext, ParallelRunner};
+use evaluation::{evaluate_all_methods, evaluate_days, same_results, EvaluationContext};
 use fusion::{all_methods, FusionOptions, FusionProblem};
 
 fn bench_methods(c: &mut Criterion) {
@@ -35,32 +35,28 @@ fn bench_preparation(c: &mut Criterion) {
     });
 }
 
-/// Guard: the parallel runner must produce the same rows as the sequential
-/// runner on the same seeded snapshot — and this bench shows what the
-/// fan-out buys in wall-clock. Both runners evaluate all sixteen methods
-/// with and without sampled trust.
+/// Guard: the multi-day fan-out must produce the same rows as the
+/// sequential runner on the same seeded day — and this bench shows what the
+/// fan-out buys in wall-clock. Both passes prepare the day's context and
+/// evaluate all sixteen methods with and without sampled trust.
 fn bench_runners(c: &mut Criterion) {
     let stock = generate(&stock_config(2012).scaled(0.03, 0.1));
+    let reference = stock.collection.reference_day_index();
     let day = stock.collection.reference_day();
-    let context = EvaluationContext::new(&day.snapshot, &day.gold);
+    let sequential_pass =
+        || evaluate_all_methods(&EvaluationContext::new(&day.snapshot, &day.gold));
+    let parallel_pass = || evaluate_days(&stock.collection, &[reference], false);
 
     // Correctness guard first: a timing comparison of two runners is only
     // meaningful if they compute the same thing.
-    let sequential = evaluate_all_methods(&context);
-    let parallel = ParallelRunner::new().evaluate_all_methods(&context);
     assert!(
-        same_results(&sequential, &parallel),
-        "parallel runner diverged from sequential runner on the guard snapshot"
+        same_results(&sequential_pass(), &parallel_pass()[0].rows),
+        "evaluate_days diverged from the sequential runner on the guard snapshot"
     );
 
     let mut group = c.benchmark_group("evaluation_runner");
-    group.bench_function("sequential_16_methods", |b| {
-        b.iter(|| evaluate_all_methods(&context))
-    });
-    group.bench_function("parallel_16_methods", |b| {
-        let runner = ParallelRunner::new();
-        b.iter(|| runner.evaluate_all_methods(&context))
-    });
+    group.bench_function("sequential_16_methods", |b| b.iter(sequential_pass));
+    group.bench_function("parallel_16_methods", |b| b.iter(parallel_pass));
     group.finish();
 }
 

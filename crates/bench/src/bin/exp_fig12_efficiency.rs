@@ -6,8 +6,8 @@
 //! guaranteeing better results.
 //!
 //! The binary runs the same (method × day) batch twice: once on the timed
-//! sequential baseline ([`evaluate_days_sequential`]) and once fanned across
-//! CPU cores on the [`ParallelRunner`]. The Figure-12 table is printed from
+//! sequential baseline ([`evaluate_all_methods`] per day) and once fanned
+//! across CPU cores by [`evaluate_days`]. The Figure-12 table is printed from
 //! the **sequential** rows, whose per-method timings are measured without
 //! core contention; the sequential pass is repeated `--repeats` times
 //! (default 3) and each per-method timing is the **median** across repeats,
@@ -46,15 +46,9 @@
 use bench::{ExpArgs, Json, Table};
 use datagen::GeneratedDomain;
 use evaluation::{
-    evaluate_days_sequential, evaluate_prepared_sequential, prepare_contexts, same_results,
-    BatchRunner, ParallelRunner,
+    evaluate_all_methods, evaluate_days, same_results, EvaluationContext, MethodEvaluation,
 };
 use std::time::{Duration, Instant};
-
-// Count every heap allocation so the `--batch` mode can report how much
-// allocation traffic the warm-arena runner removes (profiling::alloc).
-#[global_allocator]
-static ALLOC: profiling::CountingAllocator = profiling::CountingAllocator::new();
 
 /// Median of a set of duration samples (mean of the two middles when even).
 fn median_duration(samples: &mut [Duration]) -> Duration {
@@ -67,7 +61,7 @@ fn median_duration(samples: &mut [Duration]) -> Duration {
     }
 }
 
-fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
+fn report(domain: &GeneratedDomain, repeats: usize) -> Json {
     // Evaluate the reference day plus the surrounding days (up to three) in
     // one batch, so the timing summary reflects a realistic multi-snapshot
     // evaluation workload.
@@ -77,83 +71,75 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
         .take(3)
         .collect();
 
+    let context_of = |i: usize| {
+        let day = domain.collection.day(i);
+        EvaluationContext::new(&day.snapshot, &day.gold)
+    };
+
     // Untimed warm-up of one day so the sequential pass (which runs first)
     // does not absorb the one-time costs — first touch of the snapshot
     // pages, allocator warm-up — that would bias the measured speedup in
     // the fan-out's favor.
-    let _ = evaluate_days_sequential(&domain.collection, &day_indices[..1], false);
+    let _ = evaluate_all_methods(&context_of(day_indices[0]));
 
     // Context preparation (FusionProblem build + trust sampling) is paid
-    // ONCE, outside the repeat loop: every repeat of the old
-    // `evaluate_days_sequential` call re-seeded the identical preparation
-    // inside the timed region, so on scale-10 scenario worlds `--repeats N`
-    // rebuilt the same contexts N times. The preparation wall is measured
-    // separately and added to the median evaluation wall below, keeping the
-    // reported sequential wall comparable with the single parallel pass
-    // (whose wall includes its own preparation).
-    let allocs_before_prep = profiling::allocation_count();
+    // ONCE, outside the repeat loop, so large worlds are not re-prepared N
+    // times. The preparation wall is measured separately and added to the
+    // median evaluation wall below, keeping the reported sequential wall
+    // comparable with the single parallel pass (whose wall includes its own
+    // preparation).
     let prep_start = Instant::now();
-    let contexts = prepare_contexts(&domain.collection, &day_indices, false);
+    let contexts: Vec<EvaluationContext<'_>> = day_indices.iter().map(|&i| context_of(i)).collect();
     let prep_wall = prep_start.elapsed();
-    let prep_allocs = profiling::allocation_count() - allocs_before_prep;
 
     // Timed sequential pass, `repeats` times. Fusion is deterministic, so
     // the repeats differ only in timing (asserted below); the reported
     // per-method elapsed and sequential wall-clock are medians across the
-    // repeats. Allocation traffic is counted on the first repeat only (plus
-    // the one-time preparation), to stay comparable with the single
-    // parallel/batch passes.
+    // repeats.
     let mut walls: Vec<Duration> = Vec::with_capacity(repeats);
-    let mut runs = Vec::with_capacity(repeats);
-    let mut sequential_allocs = 0u64;
-    for rep in 0..repeats {
-        let allocs_before_sequential = profiling::allocation_count();
+    let mut runs: Vec<Vec<Vec<MethodEvaluation>>> = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
         let sequential_start = Instant::now();
-        runs.push(evaluate_prepared_sequential(&contexts));
+        runs.push(contexts.iter().map(evaluate_all_methods).collect());
         walls.push(sequential_start.elapsed());
-        if rep == 0 {
-            sequential_allocs =
-                prep_allocs + profiling::allocation_count() - allocs_before_sequential;
-        }
     }
     let mut sequential = runs.pop().expect("--repeats is clamped to at least 1");
     for run in &runs {
-        for (seq_day, rep_day) in sequential.iter().zip(run) {
+        for ((seq_rows, rep_rows), context) in sequential.iter().zip(run).zip(&contexts) {
             assert!(
-                same_results(&seq_day.rows, &rep_day.rows),
+                same_results(seq_rows, rep_rows),
                 "sequential repeats diverged on day {}",
-                seq_day.day
+                context.snapshot.day()
             );
         }
     }
-    for (di, day_eval) in sequential.iter_mut().enumerate() {
-        for (ri, row) in day_eval.rows.iter_mut().enumerate() {
-            let mut samples: Vec<Duration> =
-                runs.iter().map(|run| run[di].rows[ri].elapsed).collect();
+    for (di, day_rows) in sequential.iter_mut().enumerate() {
+        for (ri, row) in day_rows.iter_mut().enumerate() {
+            let mut samples: Vec<Duration> = runs.iter().map(|run| run[di][ri].elapsed).collect();
             samples.push(row.elapsed);
             row.elapsed = median_duration(&mut samples);
         }
     }
     let sequential_wall = prep_wall + median_duration(&mut walls);
 
-    let allocs_before_parallel = profiling::allocation_count();
-    let evaluation = ParallelRunner::new().evaluate_days(&domain.collection, &day_indices);
-    let parallel_allocs = profiling::allocation_count() - allocs_before_parallel;
-    for (seq_day, par_day) in sequential.iter().zip(&evaluation.days) {
+    let parallel_start = Instant::now();
+    let parallel = evaluate_days(&domain.collection, &day_indices, false);
+    let parallel_wall = parallel_start.elapsed();
+    let threads = rayon::current_num_threads();
+    for ((seq_rows, par_day), context) in sequential.iter().zip(&parallel).zip(&contexts) {
         assert!(
-            same_results(&seq_day.rows, &par_day.rows),
+            same_results(seq_rows, &par_day.rows),
             "parallel rows diverged from sequential rows on day {}",
-            seq_day.day
+            context.snapshot.day()
         );
     }
 
     // Figure 12 proper: per-method time vs precision on the reference day,
     // timed on the uncontended sequential pass.
-    let reference_rows = &sequential
+    let reference_rows = &sequential[day_indices
         .iter()
-        .find(|d| day_indices[d.day_index] == reference)
-        .expect("reference day evaluated")
-        .rows;
+        .position(|&i| i == reference)
+        .expect("reference day evaluated")];
     let mut rows: Vec<_> = reference_rows.iter().collect();
     rows.sort_by_key(|a| a.elapsed);
 
@@ -184,33 +170,29 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
     // a single thread the ratio only measures fan-out overhead (a
     // misleading "0.9x speedup"), so it is flagged invalid instead of
     // reported as a speedup.
-    let measured_speedup = sequential_wall.as_secs_f64() / evaluation.wall_clock.as_secs_f64().max(f64::MIN_POSITIVE);
-    let fanout_speedup_valid = evaluation.threads > 1;
+    let measured_speedup =
+        sequential_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(f64::MIN_POSITIVE);
+    let fanout_speedup_valid = threads > 1;
     let speedup_note = if fanout_speedup_valid {
         format!("speedup {measured_speedup:.1}x")
     } else {
         "speedup n/a on 1 thread — the ratio would only measure fan-out overhead".to_string()
     };
     println!(
-        "Fan-out: {} days x 16 methods on {} threads; wall-clock {:.2} s vs {:.2} s sequential ({}; {:.2} s summed task time)",
-        evaluation.days.len(),
-        evaluation.threads,
-        evaluation.wall_clock.as_secs_f64(),
+        "Fan-out: {} days x 16 methods on {} threads; wall-clock {:.2} s vs {:.2} s sequential ({})",
+        parallel.len(),
+        threads,
+        parallel_wall.as_secs_f64(),
         sequential_wall.as_secs_f64(),
         speedup_note,
-        evaluation.total_method_time.as_secs_f64(),
     );
-    let per_day_method_time: Vec<Duration> = sequential
-        .iter()
-        .map(|d| d.rows.iter().map(|r| r.elapsed).sum())
-        .collect();
-    for (day_eval, t) in sequential.iter().zip(&per_day_method_time) {
+    for (day_rows, context) in sequential.iter().zip(&contexts) {
+        let method_time: Duration = day_rows.iter().map(|r| r.elapsed).sum();
         println!(
             "  day {:>2}: {:.2} s method time, slowest {}",
-            day_eval.day,
-            t.as_secs_f64(),
-            day_eval
-                .rows
+            context.snapshot.day(),
+            method_time.as_secs_f64(),
+            day_rows
                 .iter()
                 .max_by_key(|r| r.elapsed)
                 .map(|r| format!("{} ({:.2} s)", r.method, r.elapsed.as_secs_f64()))
@@ -218,47 +200,6 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
         );
     }
 
-    // --batch: the same day selection through the sharded warm-arena
-    // runner, checked bit-identical and reported wall-vs-wall with the
-    // heap-allocation traffic of each pass.
-    let mut batch_json: Option<Json> = None;
-    if batch_mode {
-        let allocs_before_batch = profiling::allocation_count();
-        let batch = BatchRunner::new().evaluate_days(&domain.collection, &day_indices);
-        let batch_allocs = profiling::allocation_count() - allocs_before_batch;
-        for (seq_day, batch_day) in sequential.iter().zip(&batch.days) {
-            assert!(
-                same_results(&seq_day.rows, &batch_day.rows),
-                "batch rows diverged from sequential rows on day {}",
-                seq_day.day
-            );
-        }
-        let wall = batch.wall_clock.as_secs_f64();
-        println!(
-            "Batch: {} days on {} warm shard(s); wall-clock {:.2} s \
-             ({:.2}x vs parallel, {:.2}x vs sequential)",
-            batch.days.len(),
-            batch.num_shards,
-            wall,
-            evaluation.wall_clock.as_secs_f64() / wall.max(f64::MIN_POSITIVE),
-            sequential_wall.as_secs_f64() / wall.max(f64::MIN_POSITIVE),
-        );
-        println!(
-            "Allocations: sequential {sequential_allocs}, parallel {parallel_allocs}, \
-             batch {batch_allocs} ({:.1}% of parallel)",
-            100.0 * batch_allocs as f64 / (parallel_allocs as f64).max(1.0),
-        );
-        batch_json = Some(
-            Json::object()
-                .field("batch_wall_s", Json::Number(wall))
-                .field("batch_shards", Json::int(batch.num_shards))
-                .field("batch_allocations", Json::int(batch_allocs as usize))
-                .field(
-                    "parallel_allocations",
-                    Json::int(parallel_allocs as usize),
-                ),
-        );
-    }
     println!();
 
     // Machine-readable record for the perf trajectory (BENCH_fig12.json):
@@ -276,25 +217,18 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
             })
             .collect(),
     );
-    let mut doc = Json::object()
+    Json::object()
         .field("domain", Json::string(&domain.config.domain))
         .field("num_items", Json::int(day.snapshot.num_items()))
         .field("num_sources", Json::int(day.snapshot.active_sources().len()))
         .field("days_evaluated", Json::int(day_indices.len()))
         .field("sequential_wall_s", Json::Number(sequential_wall.as_secs_f64()))
-        .field(
-            "parallel_wall_s",
-            Json::Number(evaluation.wall_clock.as_secs_f64()),
-        )
+        .field("parallel_wall_s", Json::Number(parallel_wall.as_secs_f64()))
         .field("fanout_speedup", Json::Number(measured_speedup))
         .field("fanout_speedup_valid", Json::Bool(fanout_speedup_valid))
-        .field("threads", Json::int(evaluation.threads))
+        .field("threads", Json::int(threads))
         .field("repeats", Json::int(repeats))
-        .field("methods", methods);
-    if let Some(batch) = batch_json {
-        doc = doc.field("batch", batch);
-    }
-    doc
+        .field("methods", methods)
 }
 
 /// Intra-day chunking measurement: the heaviest registry method (AccuCopy)
@@ -375,12 +309,11 @@ fn intra_day_report(args: &ExpArgs, repeats: usize) -> Json {
 /// Delta-engine measurement: a dirty-fraction sweep (1%, 10%, 50% changed
 /// claims per day) over a planted day-over-day mutation stream on a neutral
 /// scenario world. For each fraction the same successor days run twice:
-/// cold — every day fully re-prepared on a warm [`evaluation::ShardArena`]
-/// (the strongest full-refill baseline: allocation-warm, full recompute) —
-/// and warm, on one [`fusion::DeltaEngine`] (results asserted bit-identical
+/// cold — every day prepared from scratch and fused in full — and warm, on
+/// one [`fusion::DeltaEngine`] (results asserted bit-identical
 /// to the cold pass). Per-pass wall times are medians of `repeats` samples.
 fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
-    use evaluation::{DeltaUsage, ShardArena};
+    use evaluation::DeltaUsage;
     use fusion::DeltaEngine;
 
     let world = datagen::Scenario::new("delta_sweep").with_seed(args.seed).build();
@@ -410,16 +343,14 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
         // Correctness pass (also the warm-up): the engine must match the
         // cold full re-preparation bit for bit on every day and method.
         {
-            let mut arena = ShardArena::new();
             let mut engine = DeltaEngine::new();
             engine.advance(&stream.days[0]);
-            arena.prepare(&stream.days[0]);
             for day in &stream.days[1..] {
                 engine.advance(day);
-                arena.prepare(day);
+                let cold_problem = fusion::FusionProblem::from_snapshot(day);
                 for method in &methods {
                     let (warm, _) = engine.run(method.as_ref(), &options);
-                    let cold = arena.run(method.as_ref(), &options);
+                    let cold = method.run(&cold_problem, &options);
                     assert_eq!(
                         warm.selection,
                         cold.selection,
@@ -557,8 +488,8 @@ fn main() {
     }
 
     let (stock, flight) = args.both_domains("Figure 12");
-    let stock_json = report(&stock, args.batch, args.repeats);
-    let flight_json = report(&flight, args.batch, args.repeats);
+    let stock_json = report(&stock, args.repeats);
+    let flight_json = report(&flight, args.repeats);
     let intra_day = intra_day_report(&args, args.repeats);
     let delta = delta_report(&args, args.repeats);
     println!(

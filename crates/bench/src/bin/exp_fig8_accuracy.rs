@@ -4,23 +4,18 @@
 //! averages quoted in Section 3.3.
 //!
 //! The per-day measurements behind (b) and (c) are independent, so they are
-//! fanned across CPU cores with [`ParallelRunner::map_days`] and merged
-//! afterwards — the same numbers the sequential `accuracy_over_time` /
+//! fanned across CPU cores with rayon and merged afterwards — the same
+//! numbers the sequential `accuracy_over_time` /
 //! `dominant_precision_over_time` loops produce, day order preserved.
 
 use bench::{format_percent, ExpArgs, Table};
 use datagen::GeneratedDomain;
-use evaluation::{same_results, BatchRunner, ParallelRunner};
+use datamodel::CollectionDay;
 use profiling::{
     accuracy_histogram, accuracy_over_time_from_daily, dominance::dominant_value_precision,
     source_accuracies,
 };
-use std::time::Instant;
-
-// Count every heap allocation so the `--batch` mode can report how much
-// allocation traffic the warm-arena runner removes (profiling::alloc).
-#[global_allocator]
-static ALLOC: profiling::CountingAllocator = profiling::CountingAllocator::new();
+use rayon::prelude::*;
 
 fn report(domain: &GeneratedDomain, paper_avg_accuracy: f64) {
     let name = &domain.config.domain;
@@ -29,14 +24,16 @@ fn report(domain: &GeneratedDomain, paper_avg_accuracy: f64) {
     // behind Figures 8(a) and 8(b) and the dominant-value precision of
     // Figure 8(c); the reference day's accuracies are indexed out of the
     // per-day results rather than recomputed.
-    let runner = ParallelRunner::new();
-    let per_day: Vec<(Vec<profiling::SourceAccuracy>, f64)> =
-        runner.map_days(&domain.collection, |day| {
+    let days: Vec<&CollectionDay> = domain.collection.days().collect();
+    let per_day: Vec<(Vec<profiling::SourceAccuracy>, f64)> = days
+        .into_par_iter()
+        .map(|day| {
             (
                 source_accuracies(&day.snapshot, &day.gold),
                 dominant_value_precision(&day.snapshot, &day.gold),
             )
-        });
+        })
+        .collect();
     let (daily_accuracies, daily_dominant): (Vec<_>, Vec<f64>) = per_day.into_iter().unzip();
     let accuracies = &daily_accuracies[domain.collection.reference_day_index()];
 
@@ -78,76 +75,9 @@ fn report(domain: &GeneratedDomain, paper_avg_accuracy: f64) {
     println!();
 }
 
-/// `--batch`: the Figure-8-style full-period fusion sweep (all sixteen
-/// methods on every collection day) through the per-(day, method) fan-out
-/// and through the sharded warm-arena batch runner, checked bit-identical
-/// and reported wall-vs-wall with the allocation traffic of each pass.
-///
-/// Each runner is timed three times in alternating order and the **minimum**
-/// wall is reported: a single pass swings ±5-25% on a busy box, which would
-/// drown the few-percent single-core arena win in noise (the criterion bench
-/// `batch_vs_parallel` tells the same story with proper sampling).
-fn batch_report(domain: &GeneratedDomain) {
-    let name = &domain.config.domain;
-    const ROUNDS: usize = 3;
-
-    // Untimed warm-up so first-touch costs bias neither runner.
-    let parallel = ParallelRunner::new().evaluate_collection(&domain.collection);
-
-    let mut parallel_wall = std::time::Duration::MAX;
-    let mut batch_wall = std::time::Duration::MAX;
-    let mut parallel_allocs = u64::MAX;
-    let mut batch_allocs = u64::MAX;
-    let mut batch = None;
-    for _ in 0..ROUNDS {
-        let allocs_before = profiling::allocation_count();
-        let start = Instant::now();
-        let p = ParallelRunner::new().evaluate_collection(&domain.collection);
-        parallel_wall = parallel_wall.min(start.elapsed());
-        parallel_allocs = parallel_allocs.min(profiling::allocation_count() - allocs_before);
-        assert_eq!(p.days.len(), parallel.days.len());
-
-        let allocs_before = profiling::allocation_count();
-        let start = Instant::now();
-        let b = BatchRunner::new().evaluate_collection(&domain.collection);
-        batch_wall = batch_wall.min(start.elapsed());
-        batch_allocs = batch_allocs.min(profiling::allocation_count() - allocs_before);
-        batch = Some(b);
-    }
-    let batch = batch.expect("at least one round ran");
-
-    assert_eq!(batch.days.len(), parallel.days.len());
-    for (b, p) in batch.days.iter().zip(&parallel.days) {
-        assert!(
-            same_results(&b.rows, &p.rows),
-            "batch rows diverged from parallel rows on day {}",
-            b.day
-        );
-    }
-
-    println!(
-        "Batch sweep ({name}): {} days x 16 methods; batch wall {:.2} s on {} warm shard(s) \
-         vs {:.2} s parallel fan-out ({:.2}x; min of {ROUNDS} alternating rounds)",
-        batch.days.len(),
-        batch_wall.as_secs_f64(),
-        batch.num_shards,
-        parallel_wall.as_secs_f64(),
-        parallel_wall.as_secs_f64() / batch_wall.as_secs_f64().max(f64::MIN_POSITIVE),
-    );
-    println!(
-        "Allocations ({name}): parallel {parallel_allocs}, batch {batch_allocs} \
-         ({:.1}% of parallel)\n",
-        100.0 * batch_allocs as f64 / (parallel_allocs as f64).max(1.0),
-    );
-}
-
 fn main() {
     let args = ExpArgs::from_env();
     let (stock, flight) = args.both_domains("Figure 8");
     report(&stock, 0.86);
     report(&flight, 0.80);
-    if args.batch {
-        batch_report(&stock);
-        batch_report(&flight);
-    }
 }

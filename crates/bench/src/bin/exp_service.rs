@@ -128,6 +128,11 @@ fn main() {
     table.print();
 
     let stats = service.stats();
+    let mean_seal_ms = reports
+        .iter()
+        .map(|(report, _)| report.total.as_secs_f64() * 1e3)
+        .sum::<f64>()
+        / reports.len().max(1) as f64;
     println!(
         "Ingest: {} applied, {} duplicate, {} stale, {} rejected over {} seals",
         stats.ops_applied, stats.ops_duplicate, stats.ops_stale, stats.ops_rejected, stats.seals
@@ -138,7 +143,7 @@ fn main() {
         stats.delta.runs,
         stats.delta.advances,
         stats.delta.full_refreshes,
-        stats.mean_seal().as_secs_f64() * 1e3
+        mean_seal_ms
     );
     println!(
         "Readers: {} lock-cheap reads served during ingest ({} readers at {} reads/s each)",

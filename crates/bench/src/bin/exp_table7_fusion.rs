@@ -2,14 +2,14 @@
 //! domain, with and without sampled source trustworthiness as input, together
 //! with the trustworthiness deviation and difference.
 //!
-//! The sixteen methods are evaluated concurrently on the [`ParallelRunner`]
-//! (one task per method); the reported per-method times are still each
-//! method's own execution time, so the table matches the sequential runner's
-//! output row for row.
+//! The sixteen methods are evaluated concurrently by [`evaluate_days`] (one
+//! task per method on the reference day); the reported per-method times are
+//! still each method's own execution time, so the table matches the
+//! sequential runner's output row for row.
 
 use bench::{ExpArgs, Table};
 use datagen::GeneratedDomain;
-use evaluation::{EvaluationContext, ParallelRunner};
+use evaluation::evaluate_days;
 
 /// The paper's Table-7 precisions (without input trust) for reference.
 const PAPER_WITHOUT_TRUST: [(&str, f64, f64); 16] = [
@@ -40,10 +40,11 @@ fn paper_value(method: &str, flight: bool) -> String {
 }
 
 fn report(domain: &GeneratedDomain, flight: bool) {
-    let day = domain.collection.reference_day();
-    let oracle = copydetect::known_copying(day.snapshot.schema());
-    let context = EvaluationContext::new(&day.snapshot, &day.gold).with_known_copying(&oracle);
-    let rows = ParallelRunner::new().evaluate_all_methods(&context);
+    let reference = domain.collection.reference_day_index();
+    let rows = evaluate_days(&domain.collection, &[reference], true)
+        .pop()
+        .expect("one day requested")
+        .rows;
 
     let mut table = Table::new(
         format!("Table 7 ({}): precision of data-fusion methods", domain.config.domain),

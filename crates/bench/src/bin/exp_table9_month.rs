@@ -35,7 +35,7 @@ fn paper_avg(method: &str, flight: bool) -> String {
 }
 
 fn report(domain: &GeneratedDomain, flight: bool) {
-    let rows = evaluate_over_time(&domain.collection, false);
+    let rows = evaluate_over_time(&domain.collection);
     let mut table = Table::new(
         format!(
             "Table 9 ({}): precision over {} days",
@@ -57,7 +57,7 @@ fn report(domain: &GeneratedDomain, flight: bool) {
 }
 
 /// The `--delta` leg: re-run the month day-over-day on one warm
-/// [`fusion::DeltaEngine`], assert the rows equal the cold sharded pass
+/// [`fusion::DeltaEngine`], assert the rows equal the cold per-day pass
 /// bit-for-bit, and report warm-vs-cold wall time plus the engine's
 /// cache-hit and fall-back accounting. Generated collections drift daily
 /// (values move, so the recomputed tolerances move), which pushes the engine
@@ -65,7 +65,7 @@ fn report(domain: &GeneratedDomain, flight: bool) {
 /// happened rather than hiding it.
 fn delta_report(domain: &GeneratedDomain) {
     let t_cold = Instant::now();
-    let cold = evaluate_over_time(&domain.collection, false);
+    let cold = evaluate_over_time(&domain.collection);
     let cold_wall = t_cold.elapsed();
 
     let t_warm = Instant::now();
@@ -81,7 +81,7 @@ fn delta_report(domain: &GeneratedDomain) {
     }
 
     println!(
-        "[delta] {}: warm engine {:.3}s vs cold sharded pass {:.3}s over {} days (rows bit-identical)",
+        "[delta] {}: warm engine {:.3}s vs cold per-day pass {:.3}s over {} days (rows bit-identical)",
         domain.config.domain,
         warm_wall.as_secs_f64(),
         cold_wall.as_secs_f64(),

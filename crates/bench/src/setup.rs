@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! exp_<name> [--scale S] [--days D] [--seed N] [--compare FILE]
-//!            [--batch] [--delta] [--repeats N] [--fail-on-regression PCT]
+//!            [--delta] [--repeats N] [--fail-on-regression PCT]
 //! ```
 //!
 //! * `--scale` multiplies the number of objects (default 0.25 — a quarter of
@@ -16,10 +16,6 @@
 //! * `--compare` (only meaningful to `exp_fig12_efficiency`) diffs the fresh
 //!   run against a checked-in `BENCH_fig12.json` trajectory point and prints
 //!   per-method speedup/regression;
-//! * `--batch` (read by `exp_fig8_accuracy` and `exp_fig12_efficiency`)
-//!   additionally runs the sharded warm-arena `BatchRunner` on the same
-//!   day selection, asserts its rows equal the sequential/parallel passes,
-//!   and reports wall-vs-wall speedup plus heap-allocation counts;
 //! * `--delta` (read by `exp_fig9_incremental` and `exp_table9_month`)
 //!   additionally runs the same workload on one warm [`fusion::DeltaEngine`]
 //!   (exact mode), asserts the rows equal the cold pass where the contract
@@ -58,9 +54,6 @@ pub struct ExpArgs {
     /// Baseline artifact to diff a fresh run against
     /// (`exp_fig12_efficiency --compare BENCH_fig12.json`).
     pub compare: Option<String>,
-    /// Also run the sharded warm-arena batch runner and report its
-    /// wall-vs-wall speedup and allocation counts (`--batch`).
-    pub batch: bool,
     /// Number of timed repeats of the sequential pass; per-method timings
     /// are the **median** across repeats (`--repeats N`, default 3).
     pub repeats: usize,
@@ -104,7 +97,6 @@ impl Default for ExpArgs {
             days: 0.25,
             seed: 2012,
             compare: None,
-            batch: false,
             repeats: 3,
             delta: false,
             fail_on_regression: None,
@@ -166,9 +158,6 @@ impl ExpArgs {
                     // absent --compare).
                     _ => {}
                 },
-                "--batch" => {
-                    parsed.batch = true;
-                }
                 "--delta" => {
                     parsed.delta = true;
                 }
@@ -209,7 +198,7 @@ impl ExpArgs {
                         }
                         // Missing or malformed PCT: record the error and do
                         // NOT consume the next token, so a following flag
-                        // (e.g. `--batch`) still applies.
+                        // (e.g. `--delta`) still applies.
                         _ => parsed.fail_on_regression_invalid = true,
                     }
                 }
@@ -307,22 +296,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_regression_flags_parse() {
+    fn delta_and_regression_flags_parse() {
         let parsed = ExpArgs::from_args(&args_of(&[
-            "--batch",
             "--delta",
             "--fail-on-regression",
             "7.5",
             "--scale",
             "0.5",
         ]));
-        assert!(parsed.batch);
         assert!(parsed.delta);
         assert_eq!(parsed.fail_on_regression, Some(7.5));
         assert_eq!(parsed.scale, 0.5);
 
         let defaults = ExpArgs::from_args(&args_of(&[]));
-        assert!(!defaults.batch);
         assert!(!defaults.delta);
         assert_eq!(defaults.fail_on_regression, None);
         assert!(!defaults.fail_on_regression_invalid);
@@ -336,9 +322,9 @@ mod tests {
         assert_eq!(ExpArgs::from_args(&args_of(&["--repeats", "5"])).repeats, 5);
         assert_eq!(ExpArgs::from_args(&args_of(&["--repeats", "0"])).repeats, 1);
         // Malformed count keeps the default and does not swallow a flag.
-        let bad = ExpArgs::from_args(&args_of(&["--repeats", "--batch"]));
+        let bad = ExpArgs::from_args(&args_of(&["--repeats", "--delta"]));
         assert_eq!(bad.repeats, 3);
-        assert!(bad.batch);
+        assert!(bad.delta);
     }
 
     /// The regression gate must fail **closed**: a malformed or missing PCT
@@ -351,10 +337,10 @@ mod tests {
         assert!(bad.fail_on_regression_invalid);
 
         // The next flag is not consumed as the PCT value.
-        let chained = ExpArgs::from_args(&args_of(&["--fail-on-regression", "--batch"]));
+        let chained = ExpArgs::from_args(&args_of(&["--fail-on-regression", "--delta"]));
         assert_eq!(chained.fail_on_regression, None);
         assert!(chained.fail_on_regression_invalid);
-        assert!(chained.batch, "--batch must survive the malformed gate flag");
+        assert!(chained.delta, "--delta must survive the malformed gate flag");
 
         // Trailing flag with no value at all.
         let missing = ExpArgs::from_args(&args_of(&["--fail-on-regression"]));
@@ -417,13 +403,13 @@ mod tests {
     /// `--compare` must not swallow a following flag as its file path.
     #[test]
     fn compare_never_consumes_a_following_flag() {
-        let chained = ExpArgs::from_args(&args_of(&["--compare", "--batch"]));
+        let chained = ExpArgs::from_args(&args_of(&["--compare", "--delta"]));
         assert_eq!(chained.compare, None);
-        assert!(chained.batch, "--batch must survive the valueless --compare");
+        assert!(chained.delta, "--delta must survive the valueless --compare");
 
-        let ok = ExpArgs::from_args(&args_of(&["--compare", "BENCH_fig12.json", "--batch"]));
+        let ok = ExpArgs::from_args(&args_of(&["--compare", "BENCH_fig12.json", "--delta"]));
         assert_eq!(ok.compare.as_deref(), Some("BENCH_fig12.json"));
-        assert!(ok.batch);
+        assert!(ok.delta);
 
         let trailing = ExpArgs::from_args(&args_of(&["--compare"]));
         assert_eq!(trailing.compare, None);

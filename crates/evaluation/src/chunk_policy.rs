@@ -3,10 +3,9 @@
 //! The pool has a fixed number of worker threads; the runners have two ways
 //! to feed them:
 //!
-//! * **across-task fan-out** — one (day, method) or shard task per worker
-//!   ([`crate::parallel::ParallelRunner`], [`crate::batch::BatchRunner`]),
-//!   which saturates the pool whenever there are at least as many tasks as
-//!   threads;
+//! * **across-task fan-out** — one (day, method) task per worker
+//!   ([`crate::runner::evaluate_days`]), which saturates the pool whenever
+//!   there are at least as many tasks as threads;
 //! * **intra-day chunking** — a single method run cuts its candidate axis
 //!   into [`fusion::chunking`] ranges and fans those out, which is what keeps
 //!   the cores busy on the paper's million-item days when there are only a

@@ -11,12 +11,11 @@
 //! [`DeltaEngine`], with every prefix bucketed under the full snapshot's
 //! tolerances, and is bit-identical to cold-preparing those pinned prefixes.
 
-use crate::batch::ShardArena;
 use crate::delta_usage::DeltaUsage;
 use crate::metrics::precision_recall;
 use crate::runner::EvaluationContext;
 use datamodel::{GoldStandard, Snapshot, SourceId};
-use fusion::{method_by_name, DeltaEngine, FusionOptions};
+use fusion::{method_by_name, DeltaEngine, FusionOptions, FusionScratch, ProblemBuilder};
 use serde::Serialize;
 
 /// Recall after adding the first `num_sources` sources.
@@ -82,11 +81,11 @@ pub fn sources_by_recall(snapshot: &Snapshot, gold: &GoldStandard) -> Vec<Source
 /// per-source curve; larger steps keep the experiment fast on full-scale
 /// data).
 ///
-/// The prefix problems ride on one warm [`ShardArena`]: each source prefix
-/// re-fills the arena's problem in place and every method runs against it
-/// with the arena's reused scratch, so the experiment no longer holds all
-/// prefix problems in memory at once (nor re-allocates per prefix). Unknown
-/// method names are skipped, as before.
+/// The prefix problems ride on one warm [`ProblemBuilder`]: each source
+/// prefix re-fills the builder's problem in place and every method runs
+/// against it with one reused [`FusionScratch`], so the experiment never
+/// holds all prefix problems in memory at once. Unknown method names are
+/// skipped.
 pub fn incremental_recall(
     context: &EvaluationContext<'_>,
     methods: &[&str],
@@ -106,13 +105,14 @@ pub fn incremental_recall(
         })
         .collect();
 
-    let mut arena = ShardArena::new();
+    let mut builder = ProblemBuilder::new();
+    let mut scratch = FusionScratch::new();
     let mut k = 1;
     while k <= order.len() {
         let restricted = context.snapshot.restrict_to_sources(&order[..k], None);
-        arena.prepare(&restricted);
+        let problem = builder.prepare(&restricted);
         for (method, series) in resolved.iter().zip(series.iter_mut()) {
-            let result = arena.run(method.as_ref(), &FusionOptions::standard());
+            let result = method.run_with_scratch(problem, &FusionOptions::standard(), &mut scratch);
             let pr = precision_recall(context.snapshot, context.gold, &result);
             series.points.push(IncrementalPoint {
                 num_sources: k,
@@ -246,17 +246,19 @@ mod tests {
 
         // Cold baseline: the same pinned prefixes, each prepared from scratch.
         let order = sources_by_recall(&day.snapshot, &day.gold);
-        let mut arena = ShardArena::new();
+        let mut builder = ProblemBuilder::new();
+        let mut scratch = FusionScratch::new();
         let mut k = 1;
         let mut point = 0usize;
         while k <= order.len() {
             let restricted = day
                 .snapshot
                 .restrict_to_sources(&order[..k], Some(day.snapshot.tolerance()));
-            arena.prepare(&restricted);
+            let problem = builder.prepare(&restricted);
             for (name, series) in methods.iter().zip(&warm) {
                 let method = method_by_name(name).unwrap();
-                let result = arena.run(method.as_ref(), &FusionOptions::standard());
+                let result =
+                    method.run_with_scratch(problem, &FusionOptions::standard(), &mut scratch);
                 let pr = precision_recall(&day.snapshot, &day.gold, &result);
                 let got = series.points[point];
                 assert_eq!(got.num_sources, k);

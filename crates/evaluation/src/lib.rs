@@ -3,7 +3,9 @@
 //! * [`metrics`] — precision/recall against a gold standard, trustworthiness
 //!   deviation (Equation 4) and difference;
 //! * [`runner`] — run one or all fusion methods on a snapshot with and
-//!   without sampled trust (Table 7, Figure 12);
+//!   without sampled trust (Table 7, Figure 12), sequentially on one
+//!   context or fanned across CPU cores over any number of collection days
+//!   ([`evaluate_days`]);
 //! * [`compare`] — pairwise method comparison: errors fixed / introduced
 //!   (Table 8);
 //! * [`incremental`] — recall as sources are added in recall order
@@ -11,23 +13,16 @@
 //!   [`fusion::DeltaEngine`];
 //! * [`delta_usage`] — aggregated delta-engine activity (re-fused item
 //!   counts, fall-backs, cache hits) reported by the `--delta` bench legs;
-//! * [`parallel`] — the multi-core runner fanning all sixteen methods ×
-//!   any number of snapshot days across CPU cores (Figure 12's efficiency
-//!   story at to-day's core counts);
-//! * [`batch`] — the sharded batch runner: contiguous day shards, one warm
-//!   [`ShardArena`] (in-place CSR refills + reused fusion scratch) per
-//!   shard, rows bit-identical to the sequential runner;
 //! * [`chunk_policy`] — picks between across-task fan-out and intra-day
 //!   [`fusion::chunking`] from the task stats (few big days chunk within
 //!   the day, many small days fan across days);
 //! * [`breakdown`] — precision vs. dominance factor (Figure 10);
 //! * [`errors`] — error analysis of a method's mistakes (Figure 11);
-//! * [`over_time`] — precision over all collection days (Table 9), sharded
-//!   cold or day-over-day on one warm delta engine;
+//! * [`over_time`] — precision over all collection days (Table 9), cold
+//!   one day per task or day-over-day on one warm delta engine;
 //! * [`scenario`] — golden-metrics rows for the adversarial stress
 //!   scenarios (per-method precision + copy-detection hit rates).
 
-pub mod batch;
 pub mod breakdown;
 pub mod chunk_policy;
 pub mod compare;
@@ -36,11 +31,9 @@ pub mod errors;
 pub mod incremental;
 pub mod metrics;
 pub mod over_time;
-pub mod parallel;
 pub mod runner;
 pub mod scenario;
 
-pub use batch::{shard_plan, BatchEvaluation, BatchRunner, ShardArena};
 pub use breakdown::{precision_by_dominance, DominancePrecisionPoint};
 pub use chunk_policy::ChunkPolicy;
 pub use compare::{compare_methods, MethodComparison, PAPER_METHOD_PAIRS};
@@ -53,13 +46,10 @@ pub use metrics::{
     precision_recall, sampled_trust, trust_deviation_and_difference, PrecisionRecall,
 };
 pub use over_time::{evaluate_over_time, evaluate_over_time_delta, MethodOverTime};
-pub use parallel::{
-    evaluate_days_sequential, evaluate_prepared_sequential, prepare_contexts, same_results,
-    DayEvaluation, ParallelEvaluation, ParallelRunner,
-};
 pub use runner::{
-    copy_report_to_dense, evaluate_all_methods, evaluate_method, evaluate_method_with_chunks,
-    EvaluationContext, MethodEvaluation,
+    copy_report_to_dense, evaluate_all_methods, evaluate_days, evaluate_method,
+    evaluate_method_with_chunks, same_results, DayEvaluation, EvaluationContext,
+    MethodEvaluation,
 };
 pub use scenario::{
     evaluate_scenario_day, render_golden_table, ScenarioMethodRow, ScenarioOutcome,

@@ -1,20 +1,16 @@
 //! Precision over the full collection period (Table 9): average, minimum,
 //! and standard deviation of every method's daily precision.
 //!
-//! The per-day runs ride on the sharded warm-arena core: the days are cut
-//! into contiguous shards ([`shard_plan`]), each shard fuses its day range
-//! against one [`ShardArena`] (in-place problem refills, reused method
-//! scratch), and the per-day precision vectors are concatenated in day
-//! order — the same numbers the old one-context-per-day loop produced,
-//! without its per-day allocations. [`evaluate_over_time_delta`] produces
-//! the same rows, bit for bit, by walking the days in order on one warm
+//! [`evaluate_over_time`] fans the days across the rayon pool, one task per
+//! day: each task prepares its day's problem and runs every method over it
+//! with one reused scratch. [`evaluate_over_time_delta`] produces the same
+//! rows, bit for bit, by walking the days in order on one warm
 //! [`DeltaEngine`].
 
-use crate::batch::{shard_plan, ShardArena};
 use crate::delta_usage::DeltaUsage;
 use crate::metrics::precision_recall;
-use datamodel::Collection;
-use fusion::{all_methods, DeltaEngine, FusionOptions};
+use datamodel::{Collection, CollectionDay};
+use fusion::{all_methods, DeltaEngine, FusionOptions, FusionProblem, FusionScratch};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -35,40 +31,32 @@ pub struct MethodOverTime {
     pub deviation: f64,
 }
 
-/// Run every method on every day of a collection and summarize.
-/// `use_known_copying` is accepted for API stability; Table 9 only uses the
-/// standard (without-trust) runs, which never read the oracle copy groups —
-/// the rows are identical either way, exactly as before the sharded rewrite.
-pub fn evaluate_over_time(collection: &Collection, use_known_copying: bool) -> Vec<MethodOverTime> {
-    let _ = use_known_copying;
+/// Run every method on every day of a collection and summarize. Table 9
+/// only uses the standard (without-trust) runs, so no copy knowledge is
+/// involved.
+pub fn evaluate_over_time(collection: &Collection) -> Vec<MethodOverTime> {
     let mut rows = method_rows();
+    let methods = all_methods();
+    let options = FusionOptions::standard();
 
-    // Contiguous day shards, one warm arena per shard; each inner vector is
-    // one day's per-method precisions, concatenated back in day order.
-    let weights: Vec<usize> = collection.days().map(|d| d.snapshot.num_items()).collect();
-    let plan = shard_plan(&weights, rayon::current_num_threads());
-    let per_shard: Vec<Vec<Vec<f64>>> = plan
+    // One task per day; each inner vector is that day's per-method
+    // precisions, collected back in day order.
+    let days: Vec<&CollectionDay> = collection.days().collect();
+    let per_day: Vec<Vec<f64>> = days
         .into_par_iter()
-        .map(|range| {
-            let methods = all_methods();
-            let mut arena = ShardArena::new();
-            range
-                .map(|i| {
-                    let day = collection.day(i);
-                    arena.prepare(&day.snapshot);
-                    methods
-                        .iter()
-                        .map(|(_, method)| {
-                            let result =
-                                arena.run(method.as_ref(), &FusionOptions::standard());
-                            precision_recall(&day.snapshot, &day.gold, &result).precision
-                        })
-                        .collect()
+        .map(|day| {
+            let problem = FusionProblem::from_snapshot(&day.snapshot);
+            let mut scratch = FusionScratch::new();
+            methods
+                .iter()
+                .map(|(_, method)| {
+                    let result = method.run_with_scratch(&problem, &options, &mut scratch);
+                    precision_recall(&day.snapshot, &day.gold, &result).precision
                 })
                 .collect()
         })
         .collect();
-    for day_precisions in per_shard.into_iter().flatten() {
+    for day_precisions in per_day {
         for (row, precision) in rows.iter_mut().zip(day_precisions) {
             row.daily_precision.push(precision);
         }
@@ -159,7 +147,7 @@ mod tests {
     #[test]
     fn over_time_rows_cover_every_method_and_day() {
         let domain = generate(&stock_config(71).scaled(0.01, 0.15));
-        let rows = evaluate_over_time(&domain.collection, false);
+        let rows = evaluate_over_time(&domain.collection);
         assert_eq!(rows.len(), 16);
         for row in &rows {
             assert_eq!(row.daily_precision.len(), domain.collection.num_days());
@@ -172,7 +160,7 @@ mod tests {
     #[test]
     fn delta_exact_rows_match_the_cold_runner_bit_for_bit() {
         let domain = generate(&stock_config(72).scaled(0.008, 0.12));
-        let cold = evaluate_over_time(&domain.collection, false);
+        let cold = evaluate_over_time(&domain.collection);
         let (warm, usage) = evaluate_over_time_delta(&domain.collection, 0);
         assert_eq!(warm.len(), cold.len());
         for (w, c) in warm.iter().zip(&cold) {

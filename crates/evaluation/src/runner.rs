@@ -1,14 +1,21 @@
-//! Running fusion methods over a snapshot and collecting the Table-7
+//! Running fusion methods over snapshots and collecting the Table-7
 //! measurements: precision with and without input trust, trustworthiness
 //! deviation and difference, execution time.
+//!
+//! [`evaluate_all_methods`] is the sequential reference for one prepared
+//! [`EvaluationContext`]; [`evaluate_days`] is the one multi-day runner,
+//! fanning every (day, method) pair across CPU cores with rows identical to
+//! the reference.
 
+use crate::chunk_policy::ChunkPolicy;
 use crate::metrics::{precision_recall, sampled_trust, trust_deviation_and_difference};
-use copydetect::CopyReport;
-use datamodel::{GoldStandard, Snapshot};
+use copydetect::{known_copying, CopyReport};
+use datamodel::{Collection, GoldStandard, Snapshot};
 use fusion::{
     all_methods, method_by_name, CopyMatrix, FusionMethod, FusionOptions, FusionProblem,
     FusionResult, FusionScratch, MethodCategory,
 };
+use rayon::prelude::*;
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,8 +25,8 @@ use std::time::Duration;
 /// Cloning is cheap: the snapshot and gold standard are borrowed, the
 /// prepared problem (with all its `Value` strings) sits behind an `Arc`
 /// shared by every clone, and only the sampled-trust vector and optional
-/// copy matrix are flat copies — so parallel runners can hand contexts
-/// around without re-preparing or duplicating the problem.
+/// copy matrix are flat copies — so callers can hand contexts around without
+/// re-preparing or duplicating the problem.
 #[derive(Clone)]
 pub struct EvaluationContext<'a> {
     /// The observation table.
@@ -95,42 +102,44 @@ pub struct MethodEvaluation {
     pub elapsed: Duration,
 }
 
-/// Core of [`evaluate_method`]: the context is passed piecewise (snapshot,
-/// gold, problem, sampled trust, optional oracle copying) together with a
-/// caller-owned [`FusionScratch`], so the per-context runners and the
-/// warm-arena batch runner share one code path — which is what makes their
-/// rows bit-identical by construction.
-///
-/// `intra_day_chunks` is forwarded to
-/// [`FusionOptions::with_intra_day_chunks`] for both the without-trust and
-/// with-trust runs; chunked fusion is bit-identical to sequential fusion, so
-/// the value only affects timing (see [`crate::chunk_policy::ChunkPolicy`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_method_core(
-    snapshot: &Snapshot,
-    gold: &GoldStandard,
-    problem: &FusionProblem,
-    sampled_trust: &[f64],
-    known_copying: Option<&CopyMatrix>,
+/// Evaluate a single method on a context. `category` is only used for the
+/// report label. Runs sequentially; use [`evaluate_method_with_chunks`] to
+/// let one method parallelize within the day.
+pub fn evaluate_method(
+    context: &EvaluationContext<'_>,
     category: MethodCategory,
     method: &dyn FusionMethod,
-    scratch: &mut FusionScratch,
+) -> MethodEvaluation {
+    evaluate_method_with_chunks(context, category, method, 0)
+}
+
+/// [`evaluate_method`] with an explicit intra-day chunk count (see
+/// [`fusion::chunking`]), forwarded to
+/// [`FusionOptions::with_intra_day_chunks`] for both the without-trust and
+/// with-trust runs; `0` keeps the method sequential. Chunked rows are
+/// bit-identical to sequential rows, so callers choose the count purely on
+/// performance grounds — typically via [`ChunkPolicy`].
+pub fn evaluate_method_with_chunks(
+    context: &EvaluationContext<'_>,
+    category: MethodCategory,
+    method: &dyn FusionMethod,
     intra_day_chunks: usize,
 ) -> MethodEvaluation {
+    let mut scratch = FusionScratch::new();
     let standard = FusionOptions::standard().with_intra_day_chunks(intra_day_chunks);
-    let without = method.run_with_scratch(problem, &standard, scratch);
-    let pr_without = precision_recall(snapshot, gold, &without);
+    let without = method.run_with_scratch(&context.problem, &standard, &mut scratch);
+    let pr_without = precision_recall(context.snapshot, context.gold, &without);
     let (deviation, difference) =
-        trust_deviation_and_difference(&without.trust.overall, sampled_trust);
+        trust_deviation_and_difference(&without.trust.overall, &context.sampled_trust);
 
     let mut with_opts = FusionOptions::standard()
         .with_intra_day_chunks(intra_day_chunks)
-        .with_input_trust(sampled_trust.to_vec());
-    if let Some(known) = known_copying {
+        .with_input_trust(context.sampled_trust.clone());
+    if let Some(known) = &context.known_copying {
         with_opts = with_opts.with_known_copying(known.clone());
     }
-    let with = method.run_with_scratch(problem, &with_opts, scratch);
-    let pr_with = precision_recall(snapshot, gold, &with);
+    let with = method.run_with_scratch(&context.problem, &with_opts, &mut scratch);
+    let pr_with = precision_recall(context.snapshot, context.gold, &with);
 
     MethodEvaluation {
         method: method.name(),
@@ -145,47 +154,104 @@ pub(crate) fn evaluate_method_core(
     }
 }
 
-/// Evaluate a single method on a context. `category` is only used for the
-/// report label. Runs sequentially; use [`evaluate_method_with_chunks`] to
-/// let one method parallelize within the day.
-pub fn evaluate_method(
-    context: &EvaluationContext<'_>,
-    category: MethodCategory,
-    method: &dyn FusionMethod,
-) -> MethodEvaluation {
-    evaluate_method_with_chunks(context, category, method, 0)
-}
-
-/// [`evaluate_method`] with an explicit intra-day chunk count (see
-/// [`fusion::chunking`]); `0` keeps the method sequential. Chunked rows are
-/// bit-identical to sequential rows, so callers choose the count purely on
-/// performance grounds — typically via
-/// [`ChunkPolicy`](crate::chunk_policy::ChunkPolicy).
-pub fn evaluate_method_with_chunks(
-    context: &EvaluationContext<'_>,
-    category: MethodCategory,
-    method: &dyn FusionMethod,
-    intra_day_chunks: usize,
-) -> MethodEvaluation {
-    evaluate_method_core(
-        context.snapshot,
-        context.gold,
-        &context.problem,
-        &context.sampled_trust,
-        context.known_copying.as_ref(),
-        category,
-        method,
-        &mut FusionScratch::new(),
-        intra_day_chunks,
-    )
-}
-
 /// Evaluate all sixteen paper methods on a context, in Table-7 order.
 pub fn evaluate_all_methods(context: &EvaluationContext<'_>) -> Vec<MethodEvaluation> {
     all_methods()
         .into_iter()
         .map(|(category, method)| evaluate_method(context, category, method.as_ref()))
         .collect()
+}
+
+/// All sixteen Table-7 rows for one collection day.
+#[derive(Debug, Clone, Serialize)]
+pub struct DayEvaluation {
+    /// Index of the day within the evaluated selection.
+    pub day_index: usize,
+    /// The snapshot's own day stamp.
+    pub day: u32,
+    /// One row per registry method, in Table-7 order.
+    pub rows: Vec<MethodEvaluation>,
+}
+
+/// Evaluate the sixteen registry methods on the selected days of a
+/// collection, fanned across the rayon pool. `use_known_copying` feeds the
+/// planted/claimed copy groups (Table 5) to the oracle with-trust runs of
+/// copy-aware methods, as Table 7 does.
+///
+/// The contexts are prepared in parallel, then every (day, method) pair is
+/// one task, so expensive methods on one day overlap cheap methods on
+/// another. Spare threads (a pool wider than the task list — one big day on
+/// a many-core box) go to intra-day chunks through [`ChunkPolicy`]. Fusion is
+/// deterministic and chunking is bit-invisible, so the rows equal
+/// [`evaluate_all_methods`] on each day's [`EvaluationContext`], in request
+/// order; [`same_results`] encodes that equivalence.
+///
+/// # Panics
+///
+/// Panics if any index in `day_indices` is out of range for the collection
+/// (mirroring [`Collection::day`]).
+pub fn evaluate_days(
+    collection: &Collection,
+    day_indices: &[usize],
+    use_known_copying: bool,
+) -> Vec<DayEvaluation> {
+    let contexts: Vec<EvaluationContext<'_>> = day_indices
+        .par_iter()
+        .map(|&i| {
+            let day = collection.day(i);
+            let context = EvaluationContext::new(&day.snapshot, &day.gold);
+            if use_known_copying {
+                context.with_known_copying(&known_copying(day.snapshot.schema()))
+            } else {
+                context
+            }
+        })
+        .collect();
+
+    let methods = all_methods();
+    let tasks: Vec<(usize, usize)> = (0..contexts.len())
+        .flat_map(|day| (0..methods.len()).map(move |method| (day, method)))
+        .collect();
+    let policy = ChunkPolicy::from_pool();
+    let num_tasks = tasks.len();
+    // Rows come back in task order (day-major), so each day's rows are the
+    // next `methods.len()` of them.
+    let mut rows = tasks
+        .into_par_iter()
+        .map(|(day, method)| {
+            let context = &contexts[day];
+            let (category, method) = &methods[method];
+            let chunks = policy.intra_day_chunks(num_tasks, context.problem.num_items());
+            evaluate_method_with_chunks(context, *category, method.as_ref(), chunks)
+        })
+        .collect::<Vec<_>>()
+        .into_iter();
+    contexts
+        .iter()
+        .enumerate()
+        .map(|(day_index, context)| DayEvaluation {
+            day_index,
+            day: context.snapshot.day(),
+            rows: rows.by_ref().take(methods.len()).collect(),
+        })
+        .collect()
+}
+
+/// True when two evaluations of the same context agree on everything a
+/// deterministic method controls (name, category, precision, recall, trust
+/// statistics, rounds) — i.e. everything except the measured `elapsed`.
+pub fn same_results(a: &[MethodEvaluation], b: &[MethodEvaluation]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.method == y.method
+                && x.category == y.category
+                && x.precision_without_trust == y.precision_without_trust
+                && x.recall_without_trust == y.recall_without_trust
+                && x.precision_with_trust == y.precision_with_trust
+                && x.trust_deviation == y.trust_deviation
+                && x.trust_difference == y.trust_difference
+                && x.rounds == y.rounds
+        })
 }
 
 /// Run one named method (paper spelling) without input trust and return the
@@ -257,6 +323,59 @@ mod tests {
         let direct = run_named_method(&context, "AccuPr", &FusionOptions::standard()).unwrap();
         let pr = precision_recall(context.snapshot, context.gold, &direct);
         assert!((pr.precision - row.precision_without_trust).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fanout_matches_sequential_on_one_day() {
+        let domain = generate(&stock_config(31).scaled(0.015, 0.1));
+        let reference = domain.collection.reference_day_index();
+        let day = domain.collection.reference_day();
+        let sequential = evaluate_all_methods(&EvaluationContext::new(&day.snapshot, &day.gold));
+        let fanned = evaluate_days(&domain.collection, &[reference], false);
+        assert_eq!(fanned.len(), 1);
+        let rows = &fanned[0].rows;
+        assert_eq!(rows.len(), 16);
+        assert!(
+            same_results(&sequential, rows),
+            "fan-out rows diverged from sequential rows"
+        );
+        // Table-7 order is preserved.
+        assert_eq!(rows[0].method, "Vote");
+        assert_eq!(rows[15].method, "AccuCopy");
+    }
+
+    #[test]
+    fn multi_day_fanout_covers_every_day_and_method() {
+        let domain = generate(&stock_config(32).scaled(0.01, 0.2));
+        let indices: Vec<usize> = (0..domain.collection.num_days()).collect();
+        let days = evaluate_days(&domain.collection, &indices, false);
+        assert_eq!(days.len(), domain.collection.num_days());
+        for (i, day) in days.iter().enumerate() {
+            assert_eq!(day.day_index, i);
+            assert_eq!(day.day, domain.collection.day(i).snapshot.day());
+            assert_eq!(day.rows.len(), 16);
+            assert_eq!(day.rows[0].method, "Vote");
+        }
+    }
+
+    #[test]
+    fn multi_day_fanout_matches_sequential_baseline() {
+        let domain = generate(&stock_config(33).scaled(0.01, 0.15));
+        let indices: Vec<usize> = (0..domain.collection.num_days()).collect();
+        let fanned = evaluate_days(&domain.collection, &indices, true);
+        assert_eq!(fanned.len(), indices.len());
+        for (&i, f) in indices.iter().zip(&fanned) {
+            let day = domain.collection.day(i);
+            let report = known_copying(day.snapshot.schema());
+            let context =
+                EvaluationContext::new(&day.snapshot, &day.gold).with_known_copying(&report);
+            assert_eq!(f.day, day.snapshot.day());
+            assert!(
+                same_results(&f.rows, &evaluate_all_methods(&context)),
+                "day {} diverged",
+                f.day_index
+            );
+        }
     }
 
     #[test]

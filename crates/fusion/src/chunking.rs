@@ -2,7 +2,7 @@
 //! method saturates all cores on one huge day.
 //!
 //! Every parallelism axis before this module was *across* (day, method)
-//! tasks — `evaluation::ParallelRunner` fans out whole method runs — so a
+//! tasks — `evaluation::evaluate_days` fans out whole method runs — so a
 //! single million-item snapshot still ran one method on one core, which is
 //! exactly the per-method wall time the paper's Figure 12 measures. This
 //! module cuts the flat candidate axis of a [`FusionProblem`] into

@@ -31,7 +31,7 @@
 //! Preparation has an explicit arena form: [`ProblemBuilder`] owns one
 //! [`FusionProblem`] and re-fills every CSR vector **in place** on each
 //! [`ProblemBuilder::prepare`] call, so a runner that fuses many snapshots in
-//! sequence (the batch evaluation of the longitudinal experiments) keeps one
+//! sequence (the delta engine, the incremental-source ladder) keeps one
 //! warm set of allocations instead of rebuilding the problem from scratch per
 //! day. [`FusionProblem::from_snapshot`] is a thin wrapper over a one-shot
 //! builder, so the fresh and refill paths are the same code by construction;
@@ -246,8 +246,9 @@ const SIMILARITY_FLOOR: f64 = 0.05;
 /// re-filling every CSR vector **in place** on each [`prepare`] call.
 ///
 /// Capacities grow to the largest snapshot seen and are then reused, so a
-/// shard of a batch evaluation that fuses many consecutive days pays the
-/// problem-construction allocations only once. The refill path is the *only*
+/// caller that fuses many consecutive snapshots (the delta engine, the
+/// incremental-source ladder) pays the problem-construction allocations only
+/// once. The refill path is the *only*
 /// construction path ([`FusionProblem::from_snapshot`] delegates here), so a
 /// warm and a fresh preparation of the same snapshot are identical by
 /// construction — and additionally pinned by the arena property suite.

@@ -330,8 +330,8 @@ impl VotePlane {
     /// [`accumulate_weighted_votes`](Self::accumulate_weighted_votes): the
     /// plane is re-shaped for `problem` and every slot is overwritten with
     /// the trust-weighted votes in one pass, skipping the intermediate
-    /// zero-fill — so the warm batch path touches each vote cache line once
-    /// per shard-day instead of twice. Produces exactly the plane that
+    /// zero-fill — so a warm scratch touches each vote cache line once per
+    /// run instead of twice. Produces exactly the plane that
     /// `reset_for` followed by `accumulate_weighted_votes` would.
     pub fn refill_accumulate(&mut self, problem: &FusionProblem, trust: &TrustEstimate) {
         self.offsets.clear();
@@ -476,8 +476,8 @@ impl TrustScratch {
 /// re-shaped for the problem at hand (old contents are never read), so one
 /// scratch can be reused across methods, runs, and differently-shaped
 /// problems with zero steady-state allocation. `FusionMethod::run` creates a
-/// throwaway scratch; warm paths (the batch runner's shard arena) hold one
-/// and call `FusionMethod::run_with_scratch`.
+/// throwaway scratch; warm paths (the delta engine, a day's sixteen method
+/// runs) hold one and call `FusionMethod::run_with_scratch`.
 ///
 /// [`FusionMethod`]: crate::methods::FusionMethod
 #[derive(Debug, Default)]

@@ -1,10 +1,9 @@
-//! Heap-allocation counting for the efficiency experiments.
+//! Heap-allocation counting for allocation-budget checks.
 //!
-//! The batch evaluation's warm-arena claim is "near-zero steady-state
-//! allocation"; the `exp_fig8_accuracy --batch` / `exp_fig12_efficiency
-//! --batch` modes make that measurable by installing [`CountingAllocator`]
-//! as the binary's global allocator and reporting the
-//! [`allocation_count`] delta around each evaluation pass:
+//! A binary makes a "no steady-state allocation" claim measurable by
+//! installing [`CountingAllocator`] as its global allocator and reading the
+//! [`allocation_count`] delta around the code under test (the service's
+//! ingest pin, `tests/service_alloc.rs`, does exactly this):
 //!
 //! ```ignore
 //! #[global_allocator]

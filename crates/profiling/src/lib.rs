@@ -10,8 +10,7 @@
 //!   (Figure 8(a)/(b), Table 4);
 //! * [`reasons`] — attribution of inconsistency to reasons (Figure 6);
 //! * [`copying`] — commonality statistics of copy groups (Table 5);
-//! * [`alloc`] — allocation counting for the efficiency binaries (the
-//!   `--batch` modes report heap-allocation deltas per evaluation pass).
+//! * [`alloc`] — allocation counting for allocation-budget tests.
 
 pub mod accuracy;
 pub mod alloc;

@@ -12,9 +12,8 @@ use evaluation::DeltaUsage;
 use fusion::{FusionProblem, FusionResult};
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Duration;
 
-/// Cumulative service accounting: ingest outcomes, seal timings, and the
+/// Cumulative service accounting: ingest outcomes, seal counts, and the
 /// folded [`DeltaUsage`] of the underlying engine.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
@@ -35,13 +34,8 @@ pub struct ServiceStats {
     pub rejected_kind: usize,
     /// Rejected for a non-finite number or granularity.
     pub rejected_non_finite: usize,
-    /// Days sealed so far.
+    /// Days sealed so far (each seal's timing is on its `SealReport`).
     pub seals: usize,
-    /// Total wall clock spent sealing (ledger seal + advance + fuse +
-    /// publish).
-    pub seal_wall: Duration,
-    /// Portion of `seal_wall` spent inside the fusion methods themselves.
-    pub fuse_wall: Duration,
     /// The delta engine's own accounting, folded over every seal.
     pub delta: DeltaUsage,
 }
@@ -64,15 +58,6 @@ impl ServiceStats {
             Reject::Kind => &mut self.rejected_kind,
             Reject::NonFinite => &mut self.rejected_non_finite,
         } += 1;
-    }
-
-    /// Mean wall clock per seal (zero before the first seal).
-    pub fn mean_seal(&self) -> Duration {
-        if self.seals == 0 {
-            Duration::ZERO
-        } else {
-            self.seal_wall / self.seals as u32
-        }
     }
 }
 

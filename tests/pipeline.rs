@@ -213,7 +213,7 @@ fn incremental_sources_peak_before_using_everything() {
 #[test]
 fn over_time_summaries_are_stable() {
     let domain = generate(&stock_config(99).scaled(0.02, 0.2));
-    let rows = evaluate_over_time(&domain.collection, false);
+    let rows = evaluate_over_time(&domain.collection);
     for row in rows {
         assert!(row.deviation < 0.2, "{} deviation {}", row.method, row.deviation);
         assert!(row.average > 0.5, "{} average {}", row.method, row.average);

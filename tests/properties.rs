@@ -232,12 +232,12 @@ proptest! {
         }
     }
 
-    /// A warm [`evaluation::ShardArena`] refill equals a fresh
+    /// A warm [`fusion::ProblemBuilder`] refill equals a fresh
     /// `FusionProblem::from_snapshot` — same CSR arrays, same offset tables,
     /// same claim order (`FusionProblem` equality compares all of them) —
     /// across consecutive differently-shaped snapshots, including the
     /// empty-day and single-source edge cases. This is the invariant that
-    /// makes the batch runner bit-identical to the cold runners.
+    /// makes every warm-builder path bit-identical to a cold preparation.
     #[test]
     fn arena_refill_equals_fresh_preparation(
         first in prop::collection::vec(10.0f64..1000.0, 2..20),
@@ -252,20 +252,20 @@ proptest! {
         let single_source = snapshot_from_values(&third);
         let empty = snapshot_from_values(&[]);
 
-        let mut arena = evaluation::ShardArena::new();
+        let mut builder = fusion::ProblemBuilder::new();
         for snapshot in [&wide, &empty, &narrow, &single_source, &wide, &empty] {
-            let warm = arena.prepare(snapshot);
+            let warm = builder.prepare(snapshot);
             let fresh = FusionProblem::from_snapshot(snapshot);
             prop_assert_eq!(warm, &fresh);
             prop_assert_eq!(warm.num_items(), fresh.num_items());
             prop_assert_eq!(warm.num_claims(), fresh.num_claims());
         }
         // The empty day prepares to a consistent zero-item problem.
-        let empty_problem = arena.prepare(&empty);
+        let empty_problem = builder.prepare(&empty);
         prop_assert_eq!(empty_problem.num_items(), 0);
         prop_assert_eq!(empty_problem.num_candidates(), 0);
         // And a single-source day round-trips its one claim list.
-        let single_problem = arena.prepare(&single_source);
+        let single_problem = builder.prepare(&single_source);
         prop_assert_eq!(single_problem.num_sources(), third.len());
         prop_assert_eq!(
             single_problem.claims_by_source().map(<[_]>::len).sum::<usize>(),
@@ -273,21 +273,24 @@ proptest! {
         );
     }
 
-    /// Running any method through a warm arena (shared scratch, refilled
-    /// problem) gives the same selection, trust, and round count as a cold
-    /// run on a fresh problem — scratch reuse is stateless.
+    /// Running any method through a warm builder and scratch (shared
+    /// [`fusion::FusionScratch`], refilled problem) gives the same selection,
+    /// trust, and round count as a cold run on a fresh problem — scratch
+    /// reuse is stateless.
     #[test]
     fn warm_arena_runs_equal_cold_runs(
         first in prop::collection::vec(10.0f64..1000.0, 3..15),
         second in prop::collection::vec(10.0f64..1000.0, 2..10),
     ) {
         let snapshots = [snapshot_from_values(&first), snapshot_from_values(&second)];
-        let mut arena = evaluation::ShardArena::new();
+        let mut builder = fusion::ProblemBuilder::new();
+        let mut scratch = fusion::FusionScratch::new();
         for snapshot in &snapshots {
-            arena.prepare(snapshot);
+            let problem = builder.prepare(snapshot);
             let cold_problem = FusionProblem::from_snapshot(snapshot);
             for (_, method) in all_methods() {
-                let warm = arena.run(method.as_ref(), &FusionOptions::standard());
+                let warm =
+                    method.run_with_scratch(problem, &FusionOptions::standard(), &mut scratch);
                 let cold = method.run(&cold_problem, &FusionOptions::standard());
                 prop_assert_eq!(&warm.selection, &cold.selection);
                 prop_assert_eq!(&warm.trust.overall, &cold.trust.overall);

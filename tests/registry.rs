@@ -4,7 +4,7 @@
 //! sequential and the parallel evaluation path.
 
 use deepweb_truth::prelude::*;
-use evaluation::{same_results, ParallelRunner};
+use evaluation::{evaluate_days, same_results};
 use fusion::MethodCategory;
 
 /// Table 7 of the paper, in row order: (method name, Table-6 category).
@@ -71,10 +71,14 @@ fn every_method_runs_end_to_end_on_a_tiny_snapshot() {
 #[test]
 fn parallel_runner_reproduces_sequential_rows_on_a_fixed_seed() {
     let domain = generate(&stock_config(1234).scaled(0.01, 0.1));
+    let reference = domain.collection.reference_day_index();
     let day = domain.collection.reference_day();
     let context = EvaluationContext::new(&day.snapshot, &day.gold);
     let sequential = evaluate_all_methods(&context);
-    let parallel = ParallelRunner::new().evaluate_all_methods(&context);
+    let parallel = evaluate_days(&domain.collection, &[reference], false)
+        .pop()
+        .expect("one day requested")
+        .rows;
     assert!(
         same_results(&sequential, &parallel),
         "parallel evaluation must be bit-identical to sequential (elapsed aside)"
