@@ -69,7 +69,7 @@ fn delta_report(domain: &GeneratedDomain) {
     let cold_wall = t_cold.elapsed();
 
     let t_warm = Instant::now();
-    let (warm, usage) = evaluate_over_time_delta(&domain.collection, 0);
+    let (warm, usage) = evaluate_over_time_delta(&domain.collection);
     let warm_wall = t_warm.elapsed();
 
     for (w, c) in warm.iter().zip(&cold) {

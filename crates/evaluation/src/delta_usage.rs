@@ -113,14 +113,8 @@ mod tests {
             dirty_fraction: 0.1,
             prepare: Duration::from_millis(1),
         });
-        usage.record_run(&RunReport {
-            cache_hit: false,
-            elapsed: Duration::from_millis(1),
-        });
-        usage.record_run(&RunReport {
-            cache_hit: true,
-            elapsed: Duration::ZERO,
-        });
+        usage.record_run(&RunReport { cache_hit: false });
+        usage.record_run(&RunReport { cache_hit: true });
         assert_eq!(usage.advances, 2);
         assert_eq!(usage.full_refreshes, 1);
         assert_eq!(usage.runs, 2);

@@ -15,7 +15,9 @@ use crate::delta_usage::DeltaUsage;
 use crate::metrics::precision_recall;
 use crate::runner::EvaluationContext;
 use datamodel::{GoldStandard, Snapshot, SourceId};
-use fusion::{method_by_name, DeltaEngine, FusionOptions, FusionScratch, ProblemBuilder};
+use fusion::{
+    method_by_name, DeltaEngine, FusionMethod, FusionOptions, FusionScratch, ProblemBuilder,
+};
 use serde::Serialize;
 
 /// Recall after adding the first `num_sources` sources.
@@ -153,6 +155,7 @@ pub fn incremental_recall_delta(
         .iter()
         .filter_map(|name| method_by_name(name))
         .collect();
+    let methods: Vec<&dyn FusionMethod> = resolved.iter().map(AsRef::as_ref).collect();
     let mut series: Vec<IncrementalSeries> = resolved
         .iter()
         .map(|method| IncrementalSeries {
@@ -169,8 +172,8 @@ pub fn incremental_recall_delta(
             .snapshot
             .restrict_to_sources(&order[..k], Some(context.snapshot.tolerance()));
         usage.record_advance(&engine.advance(&restricted));
-        for (method, series) in resolved.iter().zip(series.iter_mut()) {
-            let (result, report) = engine.run(method.as_ref(), &FusionOptions::standard());
+        let runs = engine.run_all(&methods, &FusionOptions::standard());
+        for ((result, report), series) in runs.into_iter().zip(series.iter_mut()) {
             usage.record_run(&report);
             let pr = precision_recall(context.snapshot, context.gold, &result);
             series.points.push(IncrementalPoint {

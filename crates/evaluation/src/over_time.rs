@@ -10,7 +10,7 @@
 use crate::delta_usage::DeltaUsage;
 use crate::metrics::precision_recall;
 use datamodel::{Collection, CollectionDay};
-use fusion::{all_methods, DeltaEngine, FusionOptions, FusionProblem, FusionScratch};
+use fusion::{all_methods, DeltaEngine, FusionMethod, FusionOptions, FusionProblem, FusionScratch};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -74,31 +74,25 @@ pub fn evaluate_over_time(collection: &Collection) -> Vec<MethodOverTime> {
 /// problem is spliced from the previous day's CSR state (or fully refreshed
 /// when the dirty fraction exceeds [`fusion::delta::MAX_DIRTY_FRACTION`])
 /// and every method re-runs deterministically over it. The days are
-/// inherently sequential — the warm state carries forward — so this composes
-/// with intra-day chunking rather than across-day sharding: pass
-/// `intra_day_chunks > 0` to split each day's candidate axis across workers
-/// (bit-invisible, as pinned by the chunk-equivalence suites).
+/// inherently sequential — the warm state carries forward — so the
+/// parallelism is within a day: [`DeltaEngine::run_all`] spreads each day's
+/// methods over the rayon pool.
 ///
 /// Also returns the aggregated [`DeltaUsage`] (dirty fractions, full-refresh,
 /// run and cache-hit counts, preparation wall time) for the
 /// `exp_table9_month --delta` leg.
-pub fn evaluate_over_time_delta(
-    collection: &Collection,
-    intra_day_chunks: usize,
-) -> (Vec<MethodOverTime>, DeltaUsage) {
+pub fn evaluate_over_time_delta(collection: &Collection) -> (Vec<MethodOverTime>, DeltaUsage) {
     let mut rows = method_rows();
-    let methods = all_methods();
-    let mut options = FusionOptions::standard();
-    if intra_day_chunks > 0 {
-        options = options.with_intra_day_chunks(intra_day_chunks);
-    }
+    let registry = all_methods();
+    let methods: Vec<&dyn FusionMethod> = registry.iter().map(|(_, m)| m.as_ref()).collect();
+    let options = FusionOptions::standard();
 
     let mut engine = DeltaEngine::new();
     let mut usage = DeltaUsage::default();
     for day in collection.days() {
         usage.record_advance(&engine.advance(&day.snapshot));
-        for ((_, method), row) in methods.iter().zip(rows.iter_mut()) {
-            let (result, report) = engine.run(method.as_ref(), &options);
+        let runs = engine.run_all(&methods, &options);
+        for ((result, report), row) in runs.into_iter().zip(rows.iter_mut()) {
             usage.record_run(&report);
             row.daily_precision
                 .push(precision_recall(&day.snapshot, &day.gold, &result).precision);
@@ -161,7 +155,7 @@ mod tests {
     fn delta_exact_rows_match_the_cold_runner_bit_for_bit() {
         let domain = generate(&stock_config(72).scaled(0.008, 0.12));
         let cold = evaluate_over_time(&domain.collection);
-        let (warm, usage) = evaluate_over_time_delta(&domain.collection, 0);
+        let (warm, usage) = evaluate_over_time_delta(&domain.collection);
         assert_eq!(warm.len(), cold.len());
         for (w, c) in warm.iter().zip(&cold) {
             assert_eq!(w.method, c.method);
@@ -173,11 +167,5 @@ mod tests {
         assert_eq!(usage.advances, domain.collection.num_days());
         assert!(usage.full_refreshes >= 1, "first day is always a full prepare");
         assert_eq!(usage.runs, 16 * domain.collection.num_days());
-
-        // Chunked intra-day execution composes without changing the rows.
-        let (chunked, _) = evaluate_over_time_delta(&domain.collection, 2);
-        for (w, c) in chunked.iter().zip(&cold) {
-            assert_eq!(w.daily_precision, c.daily_precision, "method {}", w.method);
-        }
     }
 }

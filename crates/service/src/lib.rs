@@ -27,7 +27,10 @@
 //! tolerances pinned to the first sealed day), rebuilding and diffing only
 //! the rows ingest touched since the last seal. That delta advances the
 //! [`fusion::DeltaEngine`], so consecutive seals pay for preparation only
-//! where something changed.
+//! where something changed. The seal then fuses every configured method
+//! with one [`fusion::DeltaEngine::run_all`], which answers unchanged
+//! methods from its cache and spreads the rest over the rayon pool, one
+//! task per method.
 //!
 //! # Read path
 //!

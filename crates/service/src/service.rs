@@ -67,7 +67,9 @@ pub struct SealReport {
     pub observations: usize,
     /// The engine's preparation report for the seal.
     pub advance: AdvanceReport,
-    /// Wall clock spent inside the fusion methods.
+    /// Wall clock of fusing the configured methods: the one
+    /// [`DeltaEngine::run_all`] call, which spreads them over the rayon
+    /// pool, so this is not a sum of per-method times.
     pub fuse: Duration,
     /// Wall clock of the whole seal: the ledger's seal and the engine's
     /// refill (together `advance.prepare`), the fusion (`fuse`), and
@@ -319,7 +321,8 @@ impl FusionService {
 
     /// Seal the ledger into the snapshot of `day` and its delta (patching
     /// the engine's current snapshot), advance the engine by that delta,
-    /// fuse every configured method, and publish the new [`ServedState`].
+    /// fuse every configured method across the rayon pool, and publish the
+    /// new [`ServedState`].
     fn seal(&mut self, day: u32) -> SealReport {
         let started = Instant::now();
         let (ledger, schema, pinned) = (&mut self.ledger, &self.schema, self.pinned.as_ref());
@@ -335,12 +338,13 @@ impl FusionService {
             self.pinned = sealed.map(|s| s.tolerance().clone());
         }
 
-        let mut fuse = Duration::ZERO;
-        let mut results = Vec::with_capacity(self.methods.len());
-        for method in &self.methods {
-            let (result, run) = self.engine.run(method.as_ref(), &self.config.options);
+        let methods: Vec<&dyn FusionMethod> = self.methods.iter().map(AsRef::as_ref).collect();
+        let fuse_started = Instant::now();
+        let runs = self.engine.run_all(&methods, &self.config.options);
+        let fuse = fuse_started.elapsed();
+        let mut results = Vec::with_capacity(runs.len());
+        for (method, (result, run)) in methods.iter().zip(runs) {
             seal_usage.record_run(&run);
-            fuse += run.elapsed;
             results.push((method.name(), result));
         }
 
@@ -636,6 +640,28 @@ mod tests {
         assert!(matches!(svc.apply(Operation::seal(3, 1)), ApplyOutcome::Sealed(_)));
         assert_eq!(reader.day(), Some(1));
         assert_eq!(reader.state().items().len(), 1);
+    }
+
+    /// A method listed twice fuses once per seal: its second listing is a
+    /// cache hit, and the published state holds one entry for it.
+    #[test]
+    fn a_method_listed_twice_fuses_once() {
+        let mut svc = FusionService::with_config(
+            schema(),
+            ServiceConfig {
+                methods: vec!["Vote".to_string(), "Vote".to_string()],
+                ..ServiceConfig::default()
+            },
+        );
+        svc.apply(upsert(0, 0, 0, 1.0));
+        svc.apply(upsert(1, 1, 0, 2.0));
+        assert!(matches!(svc.apply(Operation::seal(2, 0)), ApplyOutcome::Sealed(_)));
+        let stats = svc.stats();
+        assert_eq!(stats.delta.runs, 2);
+        assert_eq!(stats.delta.cache_hits, 1, "the second listing must not fuse");
+        let state = svc.reader().state();
+        assert_eq!(state.methods().count(), 1);
+        assert!(state.selection("Vote").is_some());
     }
 
     #[test]

@@ -7,21 +7,23 @@
 //! that day's snapshot — same selection, same trust bits, same rounds. This
 //! suite pins that across:
 //!
-//! * all sixteen registry methods;
+//! * all sixteen registry methods, one `run` at a time and fanned out over
+//!   the pool by one `run_all` (results in the caller's order, cache hits
+//!   answered in place);
 //! * random seeded mutation sequences (proptest): value edits, item
 //!   removal and re-addition, sources leaving and rejoining the active set,
 //!   and no-op days — under pinned tolerances (the splice fast path) and
 //!   recomputed tolerances (the attr-dirty / full-refresh path);
 //! * the standard, per-attribute-trust, and oracle-input-trust option modes;
 //! * composition with intra-day chunking (`with_intra_day_chunks`);
-//! * `RAYON_NUM_THREADS` ∈ {1, 2} and the `FUSION_FORCE_SCALAR` kernel leg
+//! * `RAYON_NUM_THREADS` ∈ {1, 2, 4} and the `FUSION_FORCE_SCALAR` kernel leg
 //!   (via the CI matrix — the assertions themselves are thread-agnostic);
 //! * the planted `datagen::mutation_stream` worlds, where the observed
 //!   `SnapshotDelta` must equal the planted dirty set exactly.
 
 use datagen::{generate, mutation_stream, stock_config};
 use datamodel::{Snapshot, SnapshotBuilder, SnapshotDelta, SourceId, Value};
-use fusion::{all_methods, DeltaEngine, FusionOptions, FusionProblem};
+use fusion::{all_methods, DeltaEngine, FusionMethod, FusionOptions, FusionProblem};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,9 +178,13 @@ fn mutate_day(
 }
 
 /// Drive one engine per option mode through the day sequence, comparing every
-/// (day, method) against a cold from-scratch run.
-fn assert_sequence_exact(days: &[Snapshot], label: &str) {
-    let methods = all_methods();
+/// (day, method) against a cold from-scratch run. With `fan_out` the engine
+/// fuses each day's sixteen methods with one `run_all` (over the pool,
+/// longest first, on whichever warm scratch is free); otherwise with one
+/// `run` per method.
+fn assert_sequence_exact(days: &[Snapshot], label: &str, fan_out: bool) {
+    let registry = all_methods();
+    let methods: Vec<&dyn FusionMethod> = registry.iter().map(|(_, m)| m.as_ref()).collect();
     let cold_problems: Vec<FusionProblem> =
         days.iter().map(FusionProblem::from_snapshot).collect();
     let num_sources = cold_problems
@@ -190,14 +196,15 @@ fn assert_sequence_exact(days: &[Snapshot], label: &str) {
         let mut engine = DeltaEngine::new();
         for (di, (day, cold_problem)) in days.iter().zip(&cold_problems).enumerate() {
             engine.advance(day);
-            for (_, method) in &methods {
-                let (warm, _) = engine.run(method.as_ref(), &options);
-                let cold = method.run(cold_problem, &options);
-                assert_bit_identical(
-                    &warm,
-                    &cold,
-                    &format!("{label}/{mode}/day={di}/{}", method.name()),
-                );
+            let warm: Vec<_> = if fan_out {
+                engine.run_all(&methods, &options)
+            } else {
+                methods.iter().map(|m| engine.run(*m, &options)).collect()
+            };
+            for (method, (warm, _)) in methods.iter().zip(&warm) {
+                let label = format!("{label}/{mode}/day={di}/{}", method.name());
+                assert_eq!(warm.method, method.name(), "{label}: result out of order");
+                assert_bit_identical(warm, &method.run(cold_problem, &options), &label);
             }
         }
     }
@@ -276,29 +283,111 @@ fn snapshot_delta_pins_every_mutation_axis_at_once() {
     assert!((delta.dirty_fraction() - expected_fraction).abs() < 1e-12);
 }
 
+/// The fixed-seed mutation sequence: a base day and three mutated days,
+/// under pinned or recomputed tolerances.
+fn fixed_sequence(pinned: bool) -> Vec<Snapshot> {
+    let domain = generate(&stock_config(2012).scaled(0.006, 0.05));
+    let base = domain.collection.reference_day().snapshot.clone();
+    let mut rng = StdRng::seed_from_u64(99);
+    let mut removed = Vec::new();
+    let mut dropped = Vec::new();
+    let mut days = vec![base.clone()];
+    for _ in 0..3 {
+        let next = mutate_day(
+            &base,
+            days.last().unwrap(),
+            &mut rng,
+            &mut removed,
+            &mut dropped,
+            pinned,
+        );
+        days.push(next);
+    }
+    days
+}
+
 /// Fixed-seed smoke form of the proptest below, so a plain `cargo test`
 /// without the proptest cases still covers both tolerance paths.
 #[test]
 fn fixed_mutation_sequence_is_exact_for_all_methods() {
-    let domain = generate(&stock_config(2012).scaled(0.006, 0.05));
-    let base = domain.collection.reference_day().snapshot.clone();
     for pinned in [true, false] {
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut removed = Vec::new();
-        let mut dropped = Vec::new();
-        let mut days = vec![base.clone()];
-        for _ in 0..3 {
-            let next = mutate_day(
-                &base,
-                days.last().unwrap(),
-                &mut rng,
-                &mut removed,
-                &mut dropped,
-                pinned,
-            );
-            days.push(next);
+        let days = fixed_sequence(pinned);
+        let label = if pinned { "fixed/pinned" } else { "fixed/recomputed" };
+        assert_sequence_exact(&days, label, false);
+    }
+}
+
+/// `run_all` of all sixteen methods on a warm engine equals a cold
+/// `method.run` per method, on every day of the fixed sequence and under
+/// every option mode.
+#[test]
+fn run_all_on_a_warm_engine_is_exact_for_all_methods() {
+    for pinned in [true, false] {
+        let days = fixed_sequence(pinned);
+        assert_sequence_exact(&days, &format!("run_all/pinned={pinned}"), true);
+    }
+}
+
+/// `run_all` submits the most expensive method first, but its results come
+/// back in the caller's order, here the reverse of that cost order.
+#[test]
+fn run_all_returns_results_in_the_callers_order() {
+    let days = fixed_sequence(true);
+    let registry = all_methods();
+    let mut methods: Vec<&dyn FusionMethod> = registry.iter().map(|(_, m)| m.as_ref()).collect();
+    let options = FusionOptions::standard();
+    let mut engine = DeltaEngine::new();
+    engine.advance(&days[0]);
+    let first = engine.run_all(&methods, &options);
+    // Cheapest first: the reverse of the order the engine submits in.
+    let elapsed: Vec<_> = first.iter().map(|(result, _)| result.elapsed).collect();
+    let mut order: Vec<usize> = (0..methods.len()).collect();
+    order.sort_by_key(|&i| elapsed[i]);
+    methods = order.iter().map(|&i| methods[i]).collect();
+
+    for (di, day) in days.iter().enumerate().skip(1) {
+        let report = engine.advance(day);
+        assert!(!report.identical, "day {di} must change the problem");
+        let cold_problem = FusionProblem::from_snapshot(day);
+        let runs = engine.run_all(&methods, &options);
+        for (method, (warm, run)) in methods.iter().zip(&runs) {
+            let label = format!("reversed/day={di}/{}", method.name());
+            assert!(!run.cache_hit, "{label}: a changed day must fuse");
+            assert_eq!(warm.method, method.name(), "{label}: result out of order");
+            assert_bit_identical(warm, &method.run(&cold_problem, &options), &label);
         }
-        assert_sequence_exact(&days, if pinned { "fixed/pinned" } else { "fixed/recomputed" });
+    }
+}
+
+/// An identical advance answers every method of `run_all` from the cache,
+/// with the results of the previous call; a changed `FusionOptions` then
+/// fuses every method again.
+#[test]
+fn run_all_serves_an_identical_day_from_the_cache() {
+    let day = &fixed_sequence(true)[1];
+    let registry = all_methods();
+    let methods: Vec<&dyn FusionMethod> = registry.iter().map(|(_, m)| m.as_ref()).collect();
+    let options = FusionOptions::standard();
+    let mut engine = DeltaEngine::new();
+    engine.advance(day);
+    let first = engine.run_all(&methods, &options);
+    assert!(first.iter().all(|(_, run)| !run.cache_hit), "a cold engine must fuse");
+
+    assert!(engine.advance(day).identical, "verbatim day must diff empty");
+    let second = engine.run_all(&methods, &options);
+    for (method, ((cached, run), (fused, _))) in methods.iter().zip(second.iter().zip(&first)) {
+        let label = format!("identical/{}", method.name());
+        assert!(run.cache_hit, "{label}: an identical day must hit the cache");
+        assert_bit_identical(cached, fused, &label);
+    }
+
+    let per_attr = FusionOptions::standard().with_per_attribute_trust();
+    let cold_problem = FusionProblem::from_snapshot(day);
+    let third = engine.run_all(&methods, &per_attr);
+    for (method, (warm, run)) in methods.iter().zip(&third) {
+        let label = format!("options/{}", method.name());
+        assert!(!run.cache_hit, "{label}: changed options must invalidate the cache");
+        assert_bit_identical(warm, &method.run(&cold_problem, &per_attr), &label);
     }
 }
 
@@ -377,7 +466,7 @@ fn mutation_stream_days_observe_their_planted_delta_and_stay_exact() {
         assert!(delta.removed_items().is_empty());
         assert!(delta.dirty_attrs().is_empty());
     }
-    assert_sequence_exact(&stream.days, "mutation-stream");
+    assert_sequence_exact(&stream.days, "mutation-stream", false);
 }
 
 proptest! {
@@ -413,6 +502,7 @@ proptest! {
         assert_sequence_exact(
             &days,
             &format!("seed={seed}/pinned={pinned}"),
+            false,
         );
     }
 }
