@@ -1,4 +1,6 @@
-//! Ablation study of the design choices DESIGN.md calls out:
+//! Ablation study of the generator and method design choices (the
+//! `exp_ablation` row of the README's "Reproducing the paper's tables and
+//! figures"):
 //!
 //! 1. the tolerance factor α of Equation 3 (how forgiving value matching is),
 //! 2. the `n` false-value assumption of the ACCU family,

@@ -1,8 +1,9 @@
 //! Shared helpers for the experiment binaries (`exp_*`) and Criterion benches
 //! that reproduce every table and figure of the paper.
 //!
-//! See DESIGN.md for the experiment index (which binary regenerates which
-//! table/figure) and EXPERIMENTS.md for paper-vs-measured results.
+//! The README's "Reproducing the paper's tables and figures" section is the
+//! experiment index (which binary regenerates which table/figure); each
+//! binary prints the paper's figures next to the measured ones.
 
 pub mod compare;
 pub mod json;

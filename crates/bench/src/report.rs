@@ -1,8 +1,9 @@
 //! Minimal plain-text table rendering for the experiment binaries.
 //!
 //! Every `exp_*` binary prints its results as aligned text tables with a
-//! `paper` column next to the `measured` column, so EXPERIMENTS.md can be
-//! regenerated by running the binaries.
+//! `paper` column next to the `measured` column, so the paper-vs-measured
+//! comparison is regenerated by running the binaries (see the README's
+//! "Reproducing the paper's tables and figures").
 
 /// A simple column-aligned text table.
 #[derive(Debug, Default)]

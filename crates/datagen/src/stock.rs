@@ -97,7 +97,10 @@ pub fn stock_config(seed: u64) -> DomainConfig {
 
     // The source that stopped refreshing its data (paper: StockSmart,
     // accuracy .06). Its claims are dominated by stale and plainly wrong
-    // values; see DESIGN.md for the approximation note.
+    // values: the generator approximates it with a low base accuracy plus
+    // 30-day staleness, so its measured accuracy (`exp_fig8_accuracy`, see
+    // the README's "Reproducing the paper's tables and figures") is near,
+    // not pinned to, the paper's.
     sources.push(
         SourceSpec::independent("StockSmart", 0.10, 0.95)
             .with_attr_coverage(0.75)

@@ -11,6 +11,30 @@
 //! 2-ESTIMATES averages complement-aware votes and applies an affine
 //! rescaling of all scores to `[0, 1]`; 3-ESTIMATES additionally estimates a
 //! per-item difficulty that dampens votes on hard items.
+//!
+//! # Hot-path layout
+//!
+//! Every round of these methods sums over the same claim structure, which
+//! never changes within a run. Each run therefore builds two read-only
+//! `u32` index tables ([`ClaimSlots`]) up front and drops them at its end:
+//!
+//! * `own` — one entry per (item, provider) slot of
+//!   [`PreparedItem::providers`](crate::problem::PreparedItem::providers):
+//!   the local candidate that provider claims. The ESTIMATES vote writes
+//!   `[t, 1 − t]` once per provider of an item, then each candidate sums
+//!   `d[2p + (own[p] != c)]` over the providers in order into a register.
+//! * `terms` — per source, its claims in claim order; per claim, the item's
+//!   global candidate indices `k` in order, encoded as `2k` for the claimed
+//!   candidate and `2k + 1` for the others. Each round fills one interleaved
+//!   candidate plane `x` (`x[2k] = v`, `x[2k + 1] = 1 − v` for ESTIMATES;
+//!   `e` and `−e` for COSINE), so a source's trust sum is a straight
+//!   gather over its `terms` range, and its term count is the range length.
+//!
+//! Every per-candidate and per-source sum keeps the operand order of the
+//! nested loops it replaces, so results are bit-identical to them (pinned
+//! by the frozen loops in `methods/reference.rs`). The encoding doubles the
+//! candidate index, so the problem's layout check requires `2 ×
+//! num_candidates` to fit a `u32`.
 
 use crate::chunking::{self, ChunkPlans};
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
@@ -42,6 +66,70 @@ pub struct TwoEstimates;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreeEstimates;
 
+/// Read-only per-run index tables of the IR rounds (see the module's
+/// hot-path layout).
+struct ClaimSlots {
+    /// Claimed local candidate per (item, provider) slot, indexed by
+    /// [`PreparedItem::provider_range`](crate::problem::PreparedItem::provider_range).
+    own: Vec<u32>,
+    /// Extent of each source's terms (`num_sources + 1` offsets).
+    term_offsets: Vec<u32>,
+    /// Per source, per claim, per candidate of the claimed item: `2k` for
+    /// the claimed global candidate `k`, `2k + 1` for the others.
+    terms: Vec<u32>,
+}
+
+impl ClaimSlots {
+    fn build(problem: &FusionProblem) -> Self {
+        // A source claims at most one candidate per item (checked when the
+        // problem is built), so one per-source lookup filled per item gives
+        // every provider slot its candidate.
+        let mut owner = vec![u32::MAX; problem.num_sources()];
+        let mut own = Vec::with_capacity(problem.num_claims());
+        for item in problem.items() {
+            for (c, cand) in item.candidates().enumerate() {
+                for &s in cand.providers() {
+                    owner[s as usize] = c as u32;
+                }
+            }
+            own.extend(item.providers().iter().map(|&s| owner[s as usize]));
+        }
+        // Σ claims × candidates can overflow the u32 offsets even when the
+        // claims fit; every offset is at most this total.
+        let total: usize = problem
+            .items()
+            .map(|item| item.num_providers() * item.num_candidates())
+            .sum();
+        assert!(
+            u32::try_from(total).is_ok(),
+            "{total} claim terms overflow the u32 offsets of the IR methods"
+        );
+        let mut term_offsets = Vec::with_capacity(problem.num_sources() + 1);
+        let mut terms = Vec::with_capacity(total);
+        term_offsets.push(0);
+        for s in 0..problem.num_sources() {
+            for &(i, c) in problem.claims(s) {
+                let range = problem.item(i as usize).cand_range();
+                let claimed = range.start + c as usize;
+                // Fits: the layout check bounds 2 × num_candidates by u32.
+                terms.extend(range.map(|k| (2 * k + usize::from(k != claimed)) as u32));
+            }
+            term_offsets.push(terms.len() as u32);
+        }
+        Self {
+            own,
+            term_offsets,
+            terms,
+        }
+    }
+
+    /// The encoded terms of source `s`.
+    #[inline]
+    fn terms(&self, s: usize) -> &[u32] {
+        &self.terms[self.term_offsets[s] as usize..self.term_offsets[s + 1] as usize]
+    }
+}
+
 impl FusionMethod for Cosine {
     fn name(&self) -> String {
         "Cosine".to_string()
@@ -57,8 +145,13 @@ impl FusionMethod for Cosine {
         let mut trust = initial_trust(problem, options, 0.8);
         let plans = ChunkPlans::from_options(options, problem);
         let (item_plan, source_plan) = ChunkPlans::split(&plans);
+        let slots = ClaimSlots::build(problem);
         let estimates = &mut scratch.plane;
         estimates.reset_for(problem);
+        // Per global candidate `k`: the claim entry times the estimate at
+        // `2k` (claimed) and `2k + 1` (competing), and the squared estimate.
+        let mut signed = vec![0.0; 2 * problem.num_candidates()];
+        let mut squared = vec![0.0; problem.num_candidates()];
         let mut rounds = 0usize;
         for _ in 0..effective_rounds(options) {
             rounds += 1;
@@ -94,19 +187,26 @@ impl FusionMethod for Cosine {
             );
             // Cosine similarity between each source's ±1 vector and the
             // estimates at the positions the source covers.
+            for ((pair, sq), &e) in signed
+                .chunks_exact_mut(2)
+                .zip(squared.iter_mut())
+                .zip(estimates.values())
+            {
+                pair[0] = e;
+                // `-e` is `-1.0 * e` bit for bit on every non-NaN estimate.
+                pair[1] = -e;
+                *sq = e * e;
+            }
             let mut new_trust = vec![0.0; problem.num_sources()];
-            let estimates_r: &_ = estimates;
+            let (signed_r, squared_r, slots_r) = (&signed, &squared, &slots);
             chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
                 let mut dot = 0.0_f64;
                 let mut claim_norm = 0.0_f64;
                 let mut est_norm = 0.0_f64;
-                for &(i, c) in problem.claims(s) {
-                    for (c2, &e) in estimates_r.item(i as usize).iter().enumerate() {
-                        let claim_entry = if c2 == c as usize { 1.0 } else { -1.0 };
-                        dot += claim_entry * e;
-                        claim_norm += 1.0;
-                        est_norm += e * e;
-                    }
+                for &t in slots_r.terms(s) {
+                    dot += signed_r[t as usize];
+                    claim_norm += 1.0;
+                    est_norm += squared_r[t as usize >> 1];
                 }
                 let denom = claim_norm.sqrt() * est_norm.sqrt();
                 let cosine = if denom > 1e-12 { dot / denom } else { 0.0 };
@@ -142,24 +242,19 @@ fn run_estimates(
     let mut trust = initial_trust(problem, options, 0.8);
     let plans = ChunkPlans::from_options(options, problem);
     let (item_plan, source_plan) = ChunkPlans::split(&plans);
-    let num_sources = problem.num_sources();
+    let slots = ClaimSlots::build(problem);
     let FusionScratch {
         plane: votes,
         item_f: hardness,
-        providers: owner,
         ..
     } = scratch;
     votes.reset_for(problem);
-    // Per-source candidate lookup for the item being voted on: a source
-    // claims at most one candidate per item (checked when the problem is
-    // built), so `owner[s] == c` exactly when `s` provides candidate `c`.
-    // Each item rewrites the slots of all its providers before reading any,
-    // so stale slots from other items are never read.
-    owner.clear();
-    owner.resize(num_sources, u32::MAX);
     // Per-item difficulty in [0, 1]; 0 = easy (votes count fully).
     hardness.clear();
     hardness.resize(problem.num_items(), 0.5);
+    // Per global candidate `k`: its vote at `2k` (what a claim on it earns)
+    // and the complement at `2k + 1` (what a claim on a competitor earns).
+    let mut earned = vec![0.0; 2 * problem.num_candidates()];
     let mut rounds = 0usize;
     for _ in 0..effective_rounds(options) {
         rounds += 1;
@@ -167,12 +262,13 @@ fn run_estimates(
         // dampened) trust, non-providers contribute their distrust.
         let trust_r = &trust;
         let hardness_r: &[f64] = hardness;
+        let own: &[u32] = &slots.own;
         chunking::for_each_item(
             votes,
             item_plan,
-            owner,
-            || vec![u32::MAX; num_sources],
-            |i, out, owner: &mut Vec<u32>| {
+            &mut Vec::new(),
+            Vec::new,
+            |i, out, dampened: &mut Vec<[f64; 2]>| {
                 let item = problem.item(i);
                 let dampen = |t: f64| -> f64 {
                     if difficulty {
@@ -181,25 +277,20 @@ fn run_estimates(
                         t
                     }
                 };
-                for (c, cand) in item.candidates().enumerate() {
-                    for &s in cand.providers() {
-                        owner[s as usize] = c as u32;
-                    }
-                }
-                // Each candidate sums over the item's providers in order;
-                // walking providers in the outer loop keeps that order per
-                // candidate and lets the candidates' sums overlap.
-                out.fill(0.0);
-                for &s in item.providers() {
+                dampened.clear();
+                dampened.extend(item.providers().iter().map(|&s| {
                     let t = dampen(trust_r.overall[s as usize]);
-                    let own = owner[s as usize] as usize;
-                    for (c, vote) in out.iter_mut().enumerate() {
-                        *vote += if c == own { t } else { 1.0 - t };
-                    }
-                }
+                    [t, 1.0 - t]
+                }));
+                // Each candidate sums over the item's providers in order.
+                let owned = &own[item.provider_range()];
                 let n = item.num_providers().max(1) as f64;
-                for vote in out.iter_mut() {
-                    *vote /= n;
+                for (c, vote) in out.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for (d, &o) in dampened.iter().zip(owned) {
+                        acc += d[usize::from(o != c as u32)];
+                    }
+                    *vote = acc / n;
                 }
             },
         );
@@ -219,22 +310,23 @@ fn run_estimates(
         }
         // Trust update: average over claimed values' votes and the complement
         // of the competing values' votes; then affine rescaling.
+        for (pair, &v) in earned.chunks_exact_mut(2).zip(votes.values()) {
+            pair[0] = v;
+            pair[1] = 1.0 - v;
+        }
         let mut new_trust = vec![0.0; problem.num_sources()];
-        let votes_r: &_ = votes;
+        let (earned_r, slots_r) = (&earned, &slots);
         chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+            let terms = slots_r.terms(s);
             let mut acc = 0.0;
-            let mut count = 0usize;
-            for &(i, c) in problem.claims(s) {
-                for (c2, &v) in votes_r.item(i as usize).iter().enumerate() {
-                    if c2 == c as usize {
-                        acc += v;
-                    } else {
-                        acc += 1.0 - v;
-                    }
-                    count += 1;
-                }
+            for &t in terms {
+                acc += earned_r[t as usize];
             }
-            *slot = if count == 0 { 0.5 } else { acc / count as f64 };
+            *slot = if terms.is_empty() {
+                0.5
+            } else {
+                acc / terms.len() as f64
+            };
         });
         rescale_to_unit(&mut new_trust);
         let new_estimate = TrustEstimate {
@@ -326,6 +418,87 @@ mod tests {
             let result = method.run(&problem, &FusionOptions::standard());
             for t in &result.trust.overall {
                 assert!(*t >= 0.0 && *t <= 1.0);
+            }
+        }
+    }
+
+    /// A source that claims nothing, a one-candidate item and an item with
+    /// `max_candidates()` candidates: each method equals its frozen loop,
+    /// whose ESTIMATES trust update gives a source with no claim terms 0.5
+    /// before the rescale.
+    #[test]
+    fn edge_shapes_match_the_frozen_loops() {
+        use crate::methods::reference::{
+            assert_same_bits, reference_run_cosine, reference_run_estimates,
+        };
+        use datamodel::{AttrId, AttrKind, DomainSchema, ObjectId, SnapshotBuilder, SourceId, Value};
+        use std::sync::Arc;
+
+        let mut schema = DomainSchema::new("edges");
+        schema.add_attribute("x", AttrKind::Numeric { scale: 1.0 }, false);
+        for s in 0..6 {
+            schema.add_source(format!("s{s}"), false);
+        }
+        let mut b = SnapshotBuilder::new(0);
+        let a = AttrId(0);
+        // Object 0: every source agrees, one candidate.
+        for s in 0..5 {
+            b.add(SourceId(s), ObjectId(0), a, Value::number(7.0));
+        }
+        // Object 1: five sources, five far-apart values.
+        for s in 0..5 {
+            b.add(SourceId(s), ObjectId(1), a, Value::number(1000.0 * (s + 1) as f64));
+        }
+        // Object 2: a 3-to-1 split.
+        for s in 0..4 {
+            let v = if s == 3 { 50.0 } else { 10.0 };
+            b.add(SourceId(s), ObjectId(2), a, Value::number(v));
+        }
+        let snap = b.build(Arc::new(schema));
+        let mut problem = FusionProblem::from_snapshot(&snap);
+        problem.push_idle_source(SourceId(5));
+        let idle = problem.num_sources() - 1;
+        assert!(problem.claims(idle).is_empty());
+        assert!(problem.items().any(|item| item.num_candidates() == 1));
+        assert_eq!(problem.max_candidates(), 5);
+
+        let input: Vec<f64> = (0..problem.num_sources())
+            .map(|s| 0.2 + 0.15 * s as f64)
+            .collect();
+        for opts in [
+            FusionOptions::standard(),
+            FusionOptions::standard().with_input_trust(input),
+        ] {
+            for chunks in [1, 3] {
+                let opts = opts.clone().with_intra_day_chunks(chunks);
+                let context = |name: &str| {
+                    format!("{name} (input {}, chunks {chunks})", opts.input_trust.is_some())
+                };
+                let mut scratch = FusionScratch::new();
+                let two = TwoEstimates.run(&problem, &opts);
+                assert_same_bits(
+                    &two,
+                    &reference_run_estimates("2-Estimates", false, &problem, &opts, &mut scratch),
+                    &context("2-Estimates"),
+                );
+                let three = ThreeEstimates.run(&problem, &opts);
+                assert_same_bits(
+                    &three,
+                    &reference_run_estimates("3-Estimates", true, &problem, &opts, &mut scratch),
+                    &context("3-Estimates"),
+                );
+                let cosine = Cosine::default();
+                assert_same_bits(
+                    &cosine.run(&problem, &opts),
+                    &reference_run_cosine(&cosine, &problem, &opts, &mut scratch),
+                    &context("Cosine"),
+                );
+                // The idle source's ESTIMATES slot takes the count-0 branch
+                // (0.5 before the rescale), so it stays a finite unit trust.
+                for result in [&two, &three] {
+                    let t = result.trust.overall[idle];
+                    assert!((0.0..=1.0).contains(&t), "{}: idle trust {t}", context(&result.method));
+                }
             }
         }
     }

@@ -11,13 +11,14 @@
 //! the original nested one, and its private helpers are verbatim copies of
 //! the pre-flattening `argmax_selection` and `update_trust_from_scores`.)
 //!
-//! The same file freezes the INVEST / POOLEDINVEST and 2-/3-ESTIMATES round
-//! loops as they were before their per-claim rewrites, and the tests at the
-//! bottom assert the live methods reproduce them bit for bit.
+//! The same file freezes the INVEST / POOLEDINVEST, 2-/3-ESTIMATES and
+//! COSINE round loops as they were before their per-claim rewrites, and the
+//! tests at the bottom assert the live methods reproduce them bit for bit.
 
 use crate::chunking::{self, ChunkPlans};
 use crate::methods::bayesian::{clamp_trust, softmax_into};
 use crate::methods::copyaware::AccuCopy;
+use crate::methods::ir::Cosine;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
 use crate::types::{
@@ -397,7 +398,7 @@ fn reference_run_invest(
 /// The 2-ESTIMATES / 3-ESTIMATES iteration before the per-item candidate
 /// lookup: membership is a `contains` scan of the candidate's providers
 /// (`difficulty = true` enables the third estimate).
-fn reference_run_estimates(
+pub(crate) fn reference_run_estimates(
     name: &str,
     difficulty: bool,
     problem: &FusionProblem,
@@ -501,9 +502,111 @@ fn reference_run_estimates(
     FusionResult::from_selection(name, problem, selection, trust, rounds, start)
 }
 
+/// The COSINE iteration before the precomputed claim terms: each source's
+/// dot product and norms walk every claimed item's candidate row, choosing
+/// the ±1 claim entry per candidate.
+pub(crate) fn reference_run_cosine(
+    method: &Cosine,
+    problem: &FusionProblem,
+    options: &FusionOptions,
+    scratch: &mut FusionScratch,
+) -> FusionResult {
+    let start = Instant::now();
+    let mut trust = initial_trust(problem, options, 0.8);
+    let plans = ChunkPlans::from_options(options, problem);
+    let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    let estimates = &mut scratch.plane;
+    estimates.reset_for(problem);
+    let mut rounds = 0usize;
+    for _ in 0..effective_rounds(options) {
+        rounds += 1;
+        // Truth estimate per candidate in [-1, 1]: supporters minus
+        // opponents, normalized by the total trust on the item.
+        let trust_r = &trust;
+        chunking::for_each_item(
+            estimates,
+            item_plan,
+            &mut (),
+            || (),
+            |i, out, _| {
+                let item = problem.item(i);
+                let total: f64 = item
+                    .providers()
+                    .iter()
+                    .map(|&s| trust_r.overall[s as usize])
+                    .sum();
+                for (c, cand) in item.candidates().enumerate() {
+                    let support: f64 = cand
+                        .providers()
+                        .iter()
+                        .map(|&s| trust_r.overall[s as usize])
+                        .sum();
+                    let oppose = total - support;
+                    out[c] = if total > 0.0 {
+                        (support - oppose) / total
+                    } else {
+                        0.0
+                    };
+                }
+            },
+        );
+        // Cosine similarity between each source's ±1 vector and the
+        // estimates at the positions the source covers.
+        let mut new_trust = vec![0.0; problem.num_sources()];
+        let estimates_r: &_ = estimates;
+        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+            let mut dot = 0.0_f64;
+            let mut claim_norm = 0.0_f64;
+            let mut est_norm = 0.0_f64;
+            for &(i, c) in problem.claims(s) {
+                for (c2, &e) in estimates_r.item(i as usize).iter().enumerate() {
+                    let claim_entry = if c2 == c as usize { 1.0 } else { -1.0 };
+                    dot += claim_entry * e;
+                    claim_norm += 1.0;
+                    est_norm += e * e;
+                }
+            }
+            let denom = claim_norm.sqrt() * est_norm.sqrt();
+            let cosine = if denom > 1e-12 { dot / denom } else { 0.0 };
+            *slot = method.damping * trust_r.overall[s]
+                + (1.0 - method.damping) * cosine.clamp(0.0, 1.0);
+        });
+        let new_estimate = TrustEstimate {
+            overall: new_trust,
+            per_attr: None,
+        };
+        let change = new_estimate.max_change(&trust);
+        trust = new_estimate;
+        if change < options.epsilon {
+            break;
+        }
+    }
+    let mut selection = Vec::new();
+    chunking::argmax_plane_into(estimates, item_plan, &mut selection);
+    FusionResult::from_selection(&method.name(), problem, selection, trust, rounds, start)
+}
+
+/// Assert that two runs agree bit for bit: selection, rounds, and every
+/// overall and per-attribute trust value.
+pub(crate) fn assert_same_bits(live: &FusionResult, frozen: &FusionResult, context: &str) {
+    assert_eq!(live.selection, frozen.selection, "{context}: selection");
+    assert_eq!(live.rounds, frozen.rounds, "{context}: rounds");
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&live.trust.overall),
+        bits(&frozen.trust.overall),
+        "{context}: overall trust"
+    );
+    assert_eq!(
+        live.trust.per_attr.as_ref().map(|pa| bits(pa.values())),
+        frozen.trust.per_attr.as_ref().map(|pa| bits(pa.values())),
+        "{context}: per-attribute trust"
+    );
+}
+
 mod tests {
     use super::*;
-    use crate::methods::{Invest, PooledInvest, ThreeEstimates, TwoEstimates};
+    use crate::methods::{Cosine, Invest, PooledInvest, ThreeEstimates, TwoEstimates};
 
     /// Seeded Stock and Flight reference days plus the stacked
     /// `kitchen_sink` scenario's reference day.
@@ -542,24 +645,8 @@ mod tests {
         grid
     }
 
-    fn assert_same_bits(live: &FusionResult, frozen: &FusionResult, context: &str) {
-        assert_eq!(live.selection, frozen.selection, "{context}: selection");
-        assert_eq!(live.rounds, frozen.rounds, "{context}: rounds");
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&live.trust.overall),
-            bits(&frozen.trust.overall),
-            "{context}: overall trust"
-        );
-        assert_eq!(
-            live.trust.per_attr.as_ref().map(|pa| bits(pa.values())),
-            frozen.trust.per_attr.as_ref().map(|pa| bits(pa.values())),
-            "{context}: per-attribute trust"
-        );
-    }
-
     #[test]
-    fn invest_and_estimates_match_the_frozen_loops() {
+    fn iterative_rounds_match_the_frozen_loops() {
         for (world, problem) in worlds() {
             for opts in option_grid(&problem) {
                 let context = |name: &str| {
@@ -599,6 +686,12 @@ mod tests {
                     &ThreeEstimates.run(&problem, &opts),
                     &reference_run_estimates("3-Estimates", true, &problem, &opts, &mut scratch),
                     &context("3-Estimates"),
+                );
+                let cosine = Cosine::default();
+                assert_same_bits(
+                    &cosine.run(&problem, &opts),
+                    &reference_run_cosine(&cosine, &problem, &opts, &mut scratch),
+                    &context("Cosine"),
                 );
             }
         }

@@ -169,9 +169,16 @@ impl<'a> PreparedItem<'a> {
     /// (sorted, deduplicated).
     #[inline]
     pub fn providers(&self) -> &'a [u32] {
-        let lo = self.problem.item_provider_offsets[self.index] as usize;
-        let hi = self.problem.item_provider_offsets[self.index + 1] as usize;
-        &self.problem.item_providers[lo..hi]
+        &self.problem.item_providers[self.provider_range()]
+    }
+
+    /// Range of the item's [`providers`](Self::providers) in the problem's
+    /// flat provider-union table: one slot per (item, provider) pair, so a
+    /// per-slot side table can be indexed alongside the providers.
+    #[inline]
+    pub(crate) fn provider_range(&self) -> Range<usize> {
+        self.problem.item_provider_offsets[self.index] as usize
+            ..self.problem.item_provider_offsets[self.index + 1] as usize
     }
 
     /// Total number of providers of the item.
@@ -469,8 +476,10 @@ impl ProblemBuilder {
 /// Invariants of a freshly filled problem that the fusion loops rely on.
 ///
 /// In every build, O(1) checks that no `u32` offset or index overflowed
-/// during the fill and that a dense item × source table is addressable (the
-/// co-claim index of ACCUCOPY allocates one). In debug builds, also checks
+/// during the fill, that a dense item × source table is addressable (the
+/// co-claim index of ACCUCOPY allocates one), and that a doubled candidate
+/// index fits a `u32` (the IR methods' claim terms encode candidate `k` as
+/// `2k` or `2k + 1`). In debug builds, also checks
 /// that each source claims at most one candidate per item
 /// ([`datamodel::SnapshotBuilder::add`] overwrites a repeated claim), which
 /// the per-item candidate lookups of the methods assume.
@@ -497,9 +506,21 @@ fn check_layout(p: &FusionProblem) {
         p.num_sources(),
         p.num_items(),
     );
+    check_doubled_candidates(p.num_candidates());
     debug_assert!(
         p.items().all(|item| item.total_provider_slots() == item.num_providers()),
         "a source claims two candidates of one item"
+    );
+}
+
+/// Panic unless every candidate index doubled (plus one) fits a `u32`.
+fn check_doubled_candidates(num_candidates: usize) {
+    assert!(
+        num_candidates
+            .checked_mul(2)
+            .is_some_and(|doubled| u32::try_from(doubled).is_ok()),
+        "{num_candidates} candidates overflow the u32 claim terms of the IR methods \
+         (2 × candidates must fit a u32)",
     );
 }
 
@@ -791,6 +812,16 @@ impl FusionProblem {
         self.source_index.get(&source).copied()
     }
 
+    /// Append a source that claims nothing, as the last dense index. A
+    /// prepared snapshot lists only sources with claims; the per-source
+    /// loops still have to handle an empty claim list.
+    #[cfg(test)]
+    pub(crate) fn push_idle_source(&mut self, source: SourceId) {
+        self.source_index.insert(source, self.sources.len());
+        self.sources.push(source);
+        self.claim_offsets.push(self.claims.len() as u32);
+    }
+
     /// Turn a per-item candidate selection into an item → value mapping.
     pub fn selection_to_values(&self, selection: &[usize]) -> BTreeMap<ItemId, Value> {
         self.item_ids
@@ -843,6 +874,17 @@ mod tests {
         assert_eq!(problem.num_attrs, 2);
         assert_eq!(problem.num_candidates(), 4);
         assert_eq!(problem.max_candidates(), 2);
+    }
+
+    #[test]
+    fn doubled_candidate_index_fits_u32() {
+        check_doubled_candidates(u32::MAX as usize / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 claim terms")]
+    fn doubled_candidate_index_overflow_is_rejected() {
+        check_doubled_candidates(u32::MAX as usize / 2 + 1);
     }
 
     #[test]

@@ -493,8 +493,7 @@ pub struct FusionScratch {
     pub(crate) item_f: Vec<f64>,
     /// Per-source scratch (investments, error rates).
     pub(crate) source_f: Vec<f64>,
-    /// Per-provider / per-source index scratch (ACCUCOPY's accuracy-ordered
-    /// providers, the ESTIMATES per-source candidate lookup).
+    /// Per-provider index scratch (ACCUCOPY's accuracy-ordered providers).
     pub(crate) providers: Vec<u32>,
     /// Trust-update accumulators.
     pub(crate) trust_acc: TrustScratch,
