@@ -11,22 +11,44 @@
 //! the original nested one, and its private helpers are verbatim copies of
 //! the pre-flattening `argmax_selection` and `update_trust_from_scores`.)
 //!
-//! The same file freezes the INVEST / POOLEDINVEST, 2-/3-ESTIMATES and
-//! COSINE round loops as they were before their per-claim rewrites, and the
-//! tests at the bottom assert the live methods reproduce them bit for bit.
+//! The same file freezes the INVEST / POOLEDINVEST, 2-/3-ESTIMATES,
+//! COSINE, ACCU-family and TRUTHFINDER round loops as they were before their
+//! per-claim rewrites, and the tests at the bottom assert the live methods
+//! reproduce them bit for bit.
 
 use crate::chunking::{self, ChunkPlans};
-use crate::methods::bayesian::{clamp_trust, softmax_into};
+use crate::methods::bayesian::{
+    clamp_trust, softmax_into, update_trust_from_scores, Accu, AccuVariant, TruthFinder,
+};
 use crate::methods::copyaware::AccuCopy;
 use crate::methods::ir::Cosine;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
-use crate::problem::FusionProblem;
+use crate::problem::{FusionProblem, PreparedItem};
 use crate::types::{
     normalize_by_max, rescale_to_unit, AttrTrust, FusionOptions, FusionResult, FusionScratch,
     TrustEstimate,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// The original per-claim ACCU vote score: one provider's vote for
+/// candidate `c` of `item` under accuracy `a`, a logarithm per call.
+fn provider_score(method: &Accu, a: f64, item: PreparedItem<'_>, c: usize) -> f64 {
+    let a = a.clamp(0.01, 0.99);
+    match method.variant {
+        AccuVariant::PopAccu => {
+            // Popularity-aware false-value prior: popular values get less
+            // of a boost per provider, so copied false values stop
+            // dominating.
+            let total = item.total_provider_slots();
+            let support = item.candidate(c).providers().len();
+            let k = item.num_candidates() as f64;
+            let pop = (support as f64 + 0.5) / (total as f64 + 0.5 * k);
+            (a / (1.0 - a)).ln() - pop.ln()
+        }
+        _ => (method.n_false_values * a / (1.0 - a)).ln(),
+    }
+}
 
 fn pair_probability(probs: &BTreeMap<(usize, usize), f64>, a: usize, b: usize) -> f64 {
     let key = if a <= b { (a, b) } else { (b, a) };
@@ -229,7 +251,7 @@ pub(crate) fn reference_run(
                             independent *= 1.0 - method.copy_rate * p;
                         }
                         vote += independent
-                            * method.base.provider_score(trust.of(s, item.attr()), item, c);
+                            * provider_score(&method.base, trust.of(s, item.attr()), item, c);
                     }
                     vote
                 })
@@ -268,6 +290,167 @@ pub(crate) fn reference_run(
         rounds,
         start,
     )
+}
+
+/// The ACCU-family iteration (all six variants) before the per-round score
+/// table: every provider of every candidate takes its own logarithm through
+/// [`provider_score`], every round.
+fn reference_run_accu(
+    method: &Accu,
+    problem: &FusionProblem,
+    options: &FusionOptions,
+    scratch: &mut FusionScratch,
+) -> FusionResult {
+    let start = Instant::now();
+    let mut opts = options.clone();
+    opts.per_attribute_trust = opts.per_attribute_trust || method.per_attribute;
+    let plans = ChunkPlans::from_options(&opts, problem);
+    let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    let uses_similarity =
+        matches!(method.variant, AccuVariant::AccuSim | AccuVariant::AccuFormat);
+    let uses_formatting = matches!(method.variant, AccuVariant::AccuFormat);
+    let FusionScratch {
+        plane: probabilities,
+        cand_a: votes,
+        cand_b: adjusted,
+        trust_acc,
+        ..
+    } = scratch;
+    let mut trust = initial_trust(problem, &opts, method.initial_accuracy);
+    probabilities.reset_for(problem);
+    let mut pair = (std::mem::take(votes), std::mem::take(adjusted));
+    let mut rounds = 0usize;
+    for _ in 0..effective_rounds(&opts) {
+        rounds += 1;
+        let trust_r = &trust;
+        chunking::for_each_item(
+            probabilities,
+            item_plan,
+            &mut pair,
+            Default::default,
+            |i, out, (votes, adjusted): &mut (Vec<f64>, Vec<f64>)| {
+                let item = problem.item(i);
+                let num_candidates = item.num_candidates();
+                votes.clear();
+                votes.resize(num_candidates, 0.0);
+                adjusted.clear();
+                adjusted.resize(num_candidates, 0.0);
+                for (c, cand) in item.candidates().enumerate() {
+                    votes[c] = cand
+                        .providers()
+                        .iter()
+                        .map(|&s| {
+                            provider_score(method, trust_r.of(s as usize, item.attr()), item, c)
+                        })
+                        .sum();
+                }
+                for (c, cand) in item.candidates().enumerate() {
+                    let mut v = votes[c];
+                    if uses_similarity {
+                        for &(j, sim) in cand.similar() {
+                            v += method.rho * sim * votes[j as usize];
+                        }
+                    }
+                    if uses_formatting {
+                        for &j in cand.coarse_supporters() {
+                            v += method.format_weight * votes[j as usize];
+                        }
+                    }
+                    adjusted[c] = v;
+                }
+                softmax_into(&adjusted[..num_candidates], out);
+            },
+        );
+        let mut new_trust = trust.clone();
+        update_trust_from_scores(
+            problem,
+            probabilities,
+            &opts,
+            &mut new_trust,
+            trust_acc,
+            source_plan,
+        );
+        clamp_trust(&mut new_trust, 0.01, 0.99);
+        let change = new_trust.max_change(&trust);
+        trust = new_trust;
+        if change < opts.epsilon {
+            break;
+        }
+    }
+    *votes = std::mem::take(&mut pair.0);
+    *adjusted = std::mem::take(&mut pair.1);
+    let mut selection = Vec::new();
+    chunking::argmax_plane_into(probabilities, item_plan, &mut selection);
+    FusionResult::from_selection(&method.name(), problem, selection, trust, rounds, start)
+}
+
+/// The TRUTHFINDER iteration before the per-round score table: every
+/// provider of every candidate takes `-ln(1 - min(t, 0.999))`, every round.
+fn reference_run_truthfinder(
+    method: &TruthFinder,
+    problem: &FusionProblem,
+    options: &FusionOptions,
+    scratch: &mut FusionScratch,
+) -> FusionResult {
+    let start = Instant::now();
+    let plans = ChunkPlans::from_options(options, problem);
+    let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    let FusionScratch {
+        plane: confidence,
+        cand_a: raw,
+        trust_acc,
+        ..
+    } = scratch;
+    let mut trust = initial_trust(problem, options, method.initial_trust);
+    confidence.reset_for(problem);
+    raw.clear();
+    let mut rounds = 0usize;
+    for _ in 0..effective_rounds(options) {
+        rounds += 1;
+        let trust_r = &trust;
+        chunking::for_each_item(
+            confidence,
+            item_plan,
+            raw,
+            Vec::new,
+            |i, out, raw: &mut Vec<f64>| {
+                let item = problem.item(i);
+                raw.clear();
+                raw.resize(item.num_candidates(), 0.0);
+                for (c, cand) in item.candidates().enumerate() {
+                    raw[c] = cand
+                        .providers()
+                        .iter()
+                        .map(|&s| -(1.0 - trust_r.of(s as usize, item.attr()).min(0.999)).ln())
+                        .sum();
+                }
+                for (c, cand) in item.candidates().enumerate() {
+                    let mut adjusted = raw[c];
+                    for &(j, sim) in cand.similar() {
+                        adjusted += method.rho * sim * raw[j as usize];
+                    }
+                    out[c] = 1.0 / (1.0 + (-method.gamma * adjusted).exp());
+                }
+            },
+        );
+        let mut new_trust = trust.clone();
+        update_trust_from_scores(
+            problem,
+            confidence,
+            options,
+            &mut new_trust,
+            trust_acc,
+            source_plan,
+        );
+        let change = new_trust.max_change(&trust);
+        trust = new_trust;
+        if change < options.epsilon {
+            break;
+        }
+    }
+    let mut selection = Vec::new();
+    chunking::argmax_plane_into(confidence, item_plan, &mut selection);
+    FusionResult::from_selection(&method.name(), problem, selection, trust, rounds, start)
 }
 
 /// The INVEST / POOLEDINVEST iteration before the pay-back step reused the
@@ -692,6 +875,26 @@ mod tests {
                     &cosine.run(&problem, &opts),
                     &reference_run_cosine(&cosine, &problem, &opts, &mut scratch),
                     &context("Cosine"),
+                );
+                for accu in [
+                    Accu::accupr(),
+                    Accu::popaccu(),
+                    Accu::accusim(),
+                    Accu::accuformat(),
+                    Accu::accusim_attr(),
+                    Accu::accuformat_attr(),
+                ] {
+                    assert_same_bits(
+                        &accu.run(&problem, &opts),
+                        &reference_run_accu(&accu, &problem, &opts, &mut scratch),
+                        &context(&accu.name()),
+                    );
+                }
+                let truthfinder = TruthFinder::default();
+                assert_same_bits(
+                    &truthfinder.run(&problem, &opts),
+                    &reference_run_truthfinder(&truthfinder, &problem, &opts, &mut scratch),
+                    &context("TruthFinder"),
                 );
             }
         }
