@@ -163,15 +163,9 @@ impl CsvReader {
     fn parse_value(&self, attr: AttrId, raw: &str, line: usize) -> Result<Value, CsvError> {
         let raw = raw.trim();
         match self.schema.attribute(attr).kind {
-            AttrKind::Numeric { .. } => parse_number(raw)
-                .map(|(v, granularity)| {
-                    if granularity > 0.0 {
-                        Value::rounded_number(v, granularity)
-                    } else {
-                        Value::number(v)
-                    }
-                })
-                .ok_or_else(|| err(line, format!("invalid number '{raw}'"))),
+            AttrKind::Numeric { .. } => {
+                parse_number(raw).map_err(|reason| err(line, format!("{reason} '{raw}'")))
+            }
             AttrKind::Time => parse_time(raw)
                 .map(Value::time)
                 .ok_or_else(|| err(line, format!("invalid time '{raw}'"))),
@@ -212,11 +206,31 @@ fn split_fields(line: &str, expected: usize) -> Result<Vec<String>, String> {
     Ok(fields)
 }
 
+/// Parse a numeric string (see [`parse_scaled`]) into a number value,
+/// rounded to its suffix granularity.
+///
+/// Fails with the reason when the string is not a number, or when the
+/// number is not [finite](Value::is_finite): `NaN`, `inf`, or a literal such
+/// as `1e400` or `1e308B` that overflows.
+fn parse_number(raw: &str) -> Result<Value, &'static str> {
+    let (value, granularity) = parse_scaled(raw).ok_or("invalid number")?;
+    let value = if granularity > 0.0 {
+        Value::rounded_number(value, granularity)
+    } else {
+        Value::number(value)
+    };
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err("non-finite number")
+    }
+}
+
 /// Parse a numeric string with optional thousands separators, `$`/`%` noise,
 /// and `K`/`M`/`B` suffixes. Returns `(value, granularity)` where the
 /// granularity reflects the suffix rounding (e.g. `"6.7M"` has granularity
 /// 100 000 because one decimal of a million is shown).
-fn parse_number(raw: &str) -> Option<(f64, f64)> {
+fn parse_scaled(raw: &str) -> Option<(f64, f64)> {
     let cleaned: String = raw
         .chars()
         .filter(|c| !matches!(c, ',' | '$' | '%' | ' '))
@@ -302,13 +316,46 @@ mod tests {
     #[test]
     fn number_normalization_matches_paper_examples() {
         // "6.7M", "6,700,000" and "6700000" are the same value.
-        assert_eq!(parse_number("6.7M").unwrap().0, 6_700_000.0);
-        assert_eq!(parse_number("6,700,000").unwrap().0, 6_700_000.0);
-        assert_eq!(parse_number("6700000").unwrap().0, 6_700_000.0);
+        assert_eq!(parse_scaled("6.7M").unwrap().0, 6_700_000.0);
+        assert_eq!(parse_scaled("6,700,000").unwrap().0, 6_700_000.0);
+        assert_eq!(parse_scaled("6700000").unwrap().0, 6_700_000.0);
         // Suffix granularity: one decimal of a million.
-        assert_eq!(parse_number("6.7M").unwrap().1, 100_000.0);
-        assert_eq!(parse_number("76B").unwrap().0, 76e9);
-        assert!(parse_number("n/a").is_none());
+        assert_eq!(parse_scaled("6.7M").unwrap().1, 100_000.0);
+        assert_eq!(parse_scaled("76B").unwrap().0, 76e9);
+        assert!(parse_scaled("n/a").is_none());
+        assert_eq!(
+            parse_number("6.7M"),
+            Ok(Value::rounded_number(6_700_000.0, 100_000.0))
+        );
+        assert_eq!(parse_number("6,700,000"), Ok(Value::number(6_700_000.0)));
+        assert_eq!(parse_number("n/a"), Err("invalid number"));
+    }
+
+    #[test]
+    fn hostile_numbers_are_rejected_with_their_line() {
+        let hostile = [
+            ("NaN", "non-finite number"),
+            ("nan", "non-finite number"),
+            ("inf", "non-finite number"),
+            ("-inf", "non-finite number"),
+            ("+infinity", "non-finite number"),
+            ("1e400", "non-finite number"),
+            ("-1e400", "non-finite number"),
+            ("1e308B", "non-finite number"),
+            ("12Q", "invalid number"),
+        ];
+        for (value, reason) in hostile {
+            assert_eq!(parse_number(value), Err(reason), "{value}");
+            let mut reader = CsvReader::new(schema());
+            let text = format!("yahoo,AAPL,Last price,399.20\ngoogle,AAPL,Volume,{value}\n");
+            let error = reader.read_snapshot(0, &text).unwrap_err();
+            assert_eq!(error.line, 2, "{value}: {error}");
+            assert!(error.to_string().contains("line 2"), "{value}: {error}");
+            assert_eq!(error.message, format!("{reason} '{value}'"));
+        }
+        // The largest finite literals still parse.
+        assert!(parse_number("1e308").is_ok());
+        assert!(parse_number("1.7e299B").is_ok());
     }
 
     #[test]

@@ -134,6 +134,20 @@ impl Value {
         }
     }
 
+    /// Whether the value can be fused: a number's value and granularity must
+    /// both be finite (`NaN`, `±inf` and overflowing literals are not
+    /// values); times and text always are. Both ingest boundaries — the CSV
+    /// reader and the service's `apply` — reject a value that fails this.
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        match self {
+            Value::Number { value, granularity } => {
+                value.is_finite() && granularity.0.is_finite()
+            }
+            Value::Time(_) | Value::Text(_) => true,
+        }
+    }
+
     /// Numeric view of the value, when one exists (numbers and times).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

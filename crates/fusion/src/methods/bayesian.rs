@@ -15,11 +15,33 @@
 //! the observed popularity of the values, ACCUSIM adds value similarity,
 //! ACCUFORMAT adds formatting (granularity subsumption), and the `*ATTR`
 //! variants maintain one trustworthiness per (source, attribute).
+//!
+//! # Hot-path layout
+//!
+//! A provider's vote depends only on its trust on the item's attribute —
+//! the ACCU paper's vote count `ln(n·A/(1 − A))` (Dong et al., PVLDB 2009),
+//! and TRUTHFINDER's `−ln(1 − min(t, 0.999))` — plus, for POPACCU, a
+//! per-candidate popularity term that no round changes. So the rounds take
+//! no logarithm per claim:
+//!
+//! * **Score table** — at the start of each round, one S × A table (source
+//!   × attribute, in [`FusionScratch`]) holds every provider score, filled
+//!   from the round's trust with the same clamp and the same expression the
+//!   per-claim form used. A candidate's vote sums `table[s·A + attr]` over
+//!   its providers in provider order.
+//! * **`ln(pop)` plane** — POPACCU (and ACCUCOPY over a POPACCU base) builds
+//!   one `ln(pop)` per global candidate once per run, and each provider's
+//!   term is `table[s·A + attr] − pop_ln[g]`. The other variants subtract
+//!   `0.0`, which leaves every term's bits as they are.
+//!
+//! Every summand is the same `f64` the per-claim form computed, and the
+//! summation order is unchanged, so the results are bit-identical to it
+//! (the frozen loops in `methods/reference.rs` pin this).
 
 use crate::chunking::{self, ChunkPlan, ChunkPlans};
 use crate::kernels;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
-use crate::problem::{FusionProblem, PreparedItem};
+use crate::problem::FusionProblem;
 use crate::types::{
     AttrTrust, FusionOptions, FusionResult, FusionScratch, TrustEstimate, TrustScratch, VotePlane,
 };
@@ -64,15 +86,21 @@ impl FusionMethod for TruthFinder {
             plane: confidence,
             cand_a: raw,
             trust_acc,
+            score_table,
             ..
         } = scratch;
         let mut trust = initial_trust(problem, options, self.initial_trust);
         confidence.reset_for(problem);
         raw.clear();
+        let num_attrs = problem.num_attrs;
         let mut rounds = 0usize;
         for _ in 0..effective_rounds(options) {
             rounds += 1;
-            let trust_r = &trust;
+            // Per-provider score `-ln(1 - τ)`, one per (source, attribute).
+            fill_table_from_trust(problem, &trust, score_table, |t| {
+                -(1.0 - t.min(0.999)).ln()
+            });
+            let table: &[f64] = score_table;
             chunking::for_each_item(
                 confidence,
                 item_plan,
@@ -80,6 +108,7 @@ impl FusionMethod for TruthFinder {
                 Vec::new,
                 |i, out, raw: &mut Vec<f64>| {
                     let item = problem.item(i);
+                    let attr = item.attr();
                     raw.clear();
                     raw.resize(item.num_candidates(), 0.0);
                     // Raw trustworthiness score: sum of -ln(1 - τ) over
@@ -88,9 +117,7 @@ impl FusionMethod for TruthFinder {
                         raw[c] = cand
                             .providers()
                             .iter()
-                            .map(|&s| {
-                                -(1.0 - trust_r.of(s as usize, item.attr()).min(0.999)).ln()
-                            })
+                            .map(|&s| table[s as usize * num_attrs + attr])
                             .sum();
                     }
                     // Similarity adjustment and sigmoid (intra-item only, so
@@ -198,22 +225,45 @@ impl Accu {
         }
     }
 
-    /// Per-provider vote score for candidate `c` of `item` under accuracy `a`.
-    pub(crate) fn provider_score(&self, a: f64, item: PreparedItem<'_>, c: usize) -> f64 {
-        let a = a.clamp(0.01, 0.99);
-        match self.variant {
-            AccuVariant::PopAccu => {
-                // Popularity-aware false-value prior: popular values get less
-                // of a boost per provider, so copied false values stop
-                // dominating.
-                let total = item.total_provider_slots();
-                let support = item.candidate(c).providers().len();
-                let k = item.num_candidates() as f64;
-                let pop = (support as f64 + 0.5) / (total as f64 + 0.5 * k);
-                (a / (1.0 - a)).ln() - pop.ln()
-            }
-            _ => (self.n_false_values * a / (1.0 - a)).ln(),
+    /// Fill `table` with the round's per-(source, attribute) provider score
+    /// under `trust`: `ln(n·a / (1 − a))` with the accuracy `a` clamped to
+    /// `[0.01, 0.99]`. POPACCU replaces the `n` uniform false values by its
+    /// per-candidate [`popularity_ln`](Self::popularity_ln), so its table is
+    /// the log-odds, `n = 1` (a product with `1.0` is exact).
+    pub(crate) fn fill_score_table(
+        &self,
+        problem: &FusionProblem,
+        trust: &TrustEstimate,
+        table: &mut Vec<f64>,
+    ) {
+        let n = match self.variant {
+            AccuVariant::PopAccu => 1.0,
+            _ => self.n_false_values,
+        };
+        fill_table_from_trust(problem, trust, table, |a| {
+            let a = a.clamp(0.01, 0.99);
+            (n * a / (1.0 - a)).ln()
+        });
+    }
+
+    /// POPACCU's popularity-aware false-value prior as `ln(pop)` per global
+    /// candidate (`None` for the other variants): popular values get less
+    /// of a boost per provider, so copied false values stop dominating.
+    pub(crate) fn popularity_ln(&self, problem: &FusionProblem) -> Option<Vec<f64>> {
+        if self.variant != AccuVariant::PopAccu {
+            return None;
         }
+        let mut pop_ln = Vec::with_capacity(problem.num_candidates());
+        for item in problem.items() {
+            let total = item.total_provider_slots();
+            let k = item.num_candidates() as f64;
+            for cand in item.candidates() {
+                let support = cand.providers().len();
+                let pop = (support as f64 + 0.5) / (total as f64 + 0.5 * k);
+                pop_ln.push(pop.ln());
+            }
+        }
+        Some(pop_ln)
     }
 
     fn uses_similarity(&self) -> bool {
@@ -256,10 +306,13 @@ impl FusionMethod for Accu {
             cand_a: votes,
             cand_b: adjusted,
             trust_acc,
+            score_table,
             ..
         } = scratch;
         let mut trust = initial_trust(problem, &opts, self.initial_accuracy);
         probabilities.reset_for(problem);
+        let pop_ln = self.popularity_ln(problem);
+        let num_attrs = problem.num_attrs;
         // Per-item (votes, adjusted) scratch pair. The sequential path keeps
         // reusing the warm FusionScratch buffers (taken here, restored below);
         // chunked runs allocate one fresh pair per chunk.
@@ -267,7 +320,9 @@ impl FusionMethod for Accu {
         let mut rounds = 0usize;
         for _ in 0..effective_rounds(&opts) {
             rounds += 1;
-            let trust_r = &trust;
+            self.fill_score_table(problem, &trust, score_table);
+            let table: &[f64] = score_table;
+            let pop_ln = pop_ln.as_deref();
             chunking::for_each_item(
                 probabilities,
                 item_plan,
@@ -275,18 +330,21 @@ impl FusionMethod for Accu {
                 Default::default,
                 |i, out, (votes, adjusted): &mut (Vec<f64>, Vec<f64>)| {
                     let item = problem.item(i);
+                    let attr = item.attr();
                     let num_candidates = item.num_candidates();
                     votes.clear();
                     votes.resize(num_candidates, 0.0);
                     adjusted.clear();
                     adjusted.resize(num_candidates, 0.0);
+                    let first = item.cand_range().start;
                     for (c, cand) in item.candidates().enumerate() {
+                        // `x - 0.0 == x` bit for bit, so the variants
+                        // without a popularity term share this sum.
+                        let pop = pop_ln.map_or(0.0, |pop_ln| pop_ln[first + c]);
                         votes[c] = cand
                             .providers()
                             .iter()
-                            .map(|&s| {
-                                self.provider_score(trust_r.of(s as usize, item.attr()), item, c)
-                            })
+                            .map(|&s| table[s as usize * num_attrs + attr] - pop)
                             .sum();
                     }
                     for (c, cand) in item.candidates().enumerate() {
@@ -327,6 +385,21 @@ impl FusionMethod for Accu {
         let mut selection = Vec::new();
         chunking::argmax_plane_into(probabilities, item_plan, &mut selection);
         FusionResult::from_selection(&self.name(), problem, selection, trust, rounds, start)
+    }
+}
+
+/// Fill the S × A `table` (the flat `source * num_attrs + attr` layout of
+/// [`AttrTrust`]) with `score` of every source's trust on every attribute.
+fn fill_table_from_trust(
+    problem: &FusionProblem,
+    trust: &TrustEstimate,
+    table: &mut Vec<f64>,
+    score: impl Fn(f64) -> f64,
+) {
+    let num_attrs = problem.num_attrs;
+    table.clear();
+    for s in 0..problem.num_sources() {
+        table.extend((0..num_attrs).map(|attr| score(trust.of(s, attr))));
     }
 }
 

@@ -38,6 +38,10 @@
 //! * Accuracy ranks — each round ranks the sources by accuracy once per
 //!   attribute; a candidate's providers are put in voting order by setting
 //!   their rank bits and reading the set bits back in rank order.
+//! * Score table — each round fills the base ACCU method's S × A table of
+//!   provider scores (see the `bayesian` module's hot-path layout), so a
+//!   provider's discounted vote reads its score instead of taking a
+//!   logarithm; a POPACCU base also subtracts its per-run `ln(pop)` plane.
 
 use crate::chunking::{self, ChunkPlan, ChunkPlans};
 use crate::copymatrix::CopyMatrix;
@@ -110,6 +114,7 @@ impl FusionMethod for AccuCopy {
             source_f: error_rates,
             copy_probs: detected,
             trust_acc,
+            score_table,
             ..
         } = scratch;
         detected.reset(problem.num_sources());
@@ -125,6 +130,8 @@ impl FusionMethod for AccuCopy {
             .collect();
         let mut ranks = vec![0u32; num_sources * problem.num_attrs];
         let mut factors = vec![0.0; num_sources * num_sources];
+        let pop_ln = self.base.popularity_ln(problem);
+        let num_attrs = problem.num_attrs;
 
         let mut trust = initial_trust(problem, &opts, self.base.initial_accuracy);
         probabilities.reset_for(problem);
@@ -186,7 +193,9 @@ impl FusionMethod for AccuCopy {
                     rank[s as usize] = r as u32;
                 }
             }
-            let (trust_r, factors_r) = (&trust, &factors);
+            self.base.fill_score_table(problem, &trust, score_table);
+            let (table, pop_ln) = (&score_table[..], pop_ln.as_deref());
+            let factors_r = &factors;
             let (orders_r, ranks_r) = (&orders, &ranks);
             chunking::for_each_item(
                 probabilities,
@@ -208,7 +217,9 @@ impl FusionMethod for AccuCopy {
                     let order = &orders_r[attr * num_sources..(attr + 1) * num_sources];
                     let rank = &ranks_r[attr * num_sources..(attr + 1) * num_sources];
                     ranked.resize(num_sources.div_ceil(64), 0);
+                    let first = item.cand_range().start;
                     for (c, cand) in item.candidates().enumerate() {
+                        let pop = pop_ln.map_or(0.0, |pop_ln| pop_ln[first + c]);
                         // Set each provider's rank bit, then list the set
                         // bits in increasing rank (clearing them again).
                         for &s in cand.providers() {
@@ -230,10 +241,7 @@ impl FusionMethod for AccuCopy {
                             for &earlier in &ordered_providers[..k] {
                                 independent *= row[earlier as usize];
                             }
-                            vote += independent
-                                * self
-                                    .base
-                                    .provider_score(trust_r.of(s as usize, attr), item, c);
+                            vote += independent * (table[s as usize * num_attrs + attr] - pop);
                         }
                         votes[c] = vote;
                     }
@@ -687,10 +695,9 @@ mod tests {
     /// Bit-exact equivalence of the dense hot path against the frozen
     /// map-based implementation in [`crate::methods::reference`]: identical
     /// `selection`, `trust.overall`, `trust.per_attr`, and `rounds`.
-    fn assert_bit_identical(problem: &FusionProblem, opts: &FusionOptions) {
-        let method = AccuCopy::default();
+    fn assert_bit_identical(method: &AccuCopy, problem: &FusionProblem, opts: &FusionOptions) {
         let new = method.run(problem, opts);
-        let old = crate::methods::reference::reference_run(&method, problem, opts);
+        let old = crate::methods::reference::reference_run(method, problem, opts);
         assert_eq!(new.selection, old.selection, "selections diverged");
         assert_eq!(new.rounds, old.rounds, "round counts diverged");
         assert_eq!(
@@ -708,8 +715,35 @@ mod tests {
     fn dense_path_is_bit_identical_on_the_fixture() {
         let (snap, _) = copied_majority_snapshot();
         let problem = FusionProblem::from_snapshot(&snap);
-        assert_bit_identical(&problem, &FusionOptions::standard());
-        assert_bit_identical(&problem, &FusionOptions::standard().with_per_attribute_trust());
+        // The clique's copy relations as a known (oracle) matrix.
+        let mut clique = CopyMatrix::new(problem.num_sources());
+        for i in 4..7u32 {
+            for j in (i + 1)..7u32 {
+                let a = problem.source_index(SourceId(i)).unwrap();
+                let b = problem.source_index(SourceId(j)).unwrap();
+                clique.set(a, b, 1.0);
+            }
+        }
+        // A POPACCU base subtracts its `ln(pop)` plane from every score.
+        let popaccu_base = AccuCopy {
+            base: Accu::popaccu(),
+            ..AccuCopy::default()
+        };
+        let input = vec![0.9, 0.9, 0.8, 0.8, 0.4, 0.4, 0.4];
+        for known in [None, Some(clique)] {
+            for opts in [
+                FusionOptions::standard(),
+                FusionOptions::standard().with_per_attribute_trust(),
+                FusionOptions::standard().with_input_trust(input.clone()),
+            ] {
+                let opts = match &known {
+                    Some(known) => opts.with_known_copying(known.clone()),
+                    None => opts,
+                };
+                assert_bit_identical(&AccuCopy::default(), &problem, &opts);
+                assert_bit_identical(&popaccu_base, &problem, &opts);
+            }
+        }
     }
 
     #[test]
@@ -720,7 +754,7 @@ mod tests {
         ] {
             let problem = FusionProblem::from_snapshot(domain.reference_snapshot());
             // Detected-copying path.
-            assert_bit_identical(&problem, &FusionOptions::standard());
+            assert_bit_identical(&AccuCopy::default(), &problem, &FusionOptions::standard());
             // Oracle path: the planted copy groups as a known matrix.
             let mut known = CopyMatrix::new(problem.num_sources());
             for group in &domain.copy_groups {
@@ -737,7 +771,7 @@ mod tests {
                 }
             }
             let opts = FusionOptions::standard().with_known_copying(known);
-            assert_bit_identical(&problem, &opts);
+            assert_bit_identical(&AccuCopy::default(), &problem, &opts);
         }
     }
 

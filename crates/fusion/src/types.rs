@@ -499,6 +499,9 @@ pub struct FusionScratch {
     pub(crate) trust_acc: TrustScratch,
     /// Detected copy probabilities (ACCUCOPY's per-round re-scoring target).
     pub(crate) copy_probs: CopyMatrix,
+    /// Per-(source, attribute) provider scores of the round (the Bayesian
+    /// methods' vote table, `source * num_attrs + attr`).
+    pub(crate) score_table: Vec<f64>,
 }
 
 impl FusionScratch {

@@ -5,7 +5,6 @@ use crate::ops::{OpKind, Operation};
 use crate::state::{Reject, ServedState, ServiceReader, ServiceStats};
 use datamodel::{
     ClaimLedger, DomainSchema, ItemId, LedgerWrite, Snapshot, SnapshotDelta, ToleranceContext,
-    Value,
 };
 use evaluation::DeltaUsage;
 use fusion::delta::AdvanceReport;
@@ -311,10 +310,8 @@ impl FusionService {
                 ),
             ));
         }
-        if let Value::Number { value: x, granularity } = value {
-            if !x.is_finite() || !granularity.0.is_finite() {
-                return Some((Reject::NonFinite, format!("non-finite number {value}")));
-            }
+        if !value.is_finite() {
+            return Some((Reject::NonFinite, format!("non-finite number {value}")));
         }
         None
     }
@@ -384,7 +381,7 @@ impl FusionService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamodel::{AttrId, AttrKind, Granularity, ObjectId, SourceId};
+    use datamodel::{AttrId, AttrKind, Granularity, ObjectId, SourceId, Value};
 
     fn schema() -> Arc<DomainSchema> {
         let mut s = DomainSchema::new("test");
