@@ -16,7 +16,6 @@
 //! per-claim rewrites, and the tests at the bottom assert the live methods
 //! reproduce them bit for bit.
 
-use crate::chunking::{self, ChunkPlans};
 use crate::methods::bayesian::{
     clamp_trust, softmax_into, update_trust_from_scores, Accu, AccuVariant, TruthFinder,
 };
@@ -304,8 +303,6 @@ fn reference_run_accu(
     let start = Instant::now();
     let mut opts = options.clone();
     opts.per_attribute_trust = opts.per_attribute_trust || method.per_attribute;
-    let plans = ChunkPlans::from_options(&opts, problem);
-    let (item_plan, source_plan) = ChunkPlans::split(&plans);
     let uses_similarity =
         matches!(method.variant, AccuVariant::AccuSim | AccuVariant::AccuFormat);
     let uses_formatting = matches!(method.variant, AccuVariant::AccuFormat);
@@ -318,58 +315,41 @@ fn reference_run_accu(
     } = scratch;
     let mut trust = initial_trust(problem, &opts, method.initial_accuracy);
     probabilities.reset_for(problem);
-    let mut pair = (std::mem::take(votes), std::mem::take(adjusted));
     let mut rounds = 0usize;
     for _ in 0..effective_rounds(&opts) {
         rounds += 1;
-        let trust_r = &trust;
-        chunking::for_each_item(
-            probabilities,
-            item_plan,
-            &mut pair,
-            Default::default,
-            |i, out, (votes, adjusted): &mut (Vec<f64>, Vec<f64>)| {
-                let item = problem.item(i);
-                let num_candidates = item.num_candidates();
-                votes.clear();
-                votes.resize(num_candidates, 0.0);
-                adjusted.clear();
-                adjusted.resize(num_candidates, 0.0);
-                for (c, cand) in item.candidates().enumerate() {
-                    votes[c] = cand
-                        .providers()
-                        .iter()
-                        .map(|&s| {
-                            provider_score(method, trust_r.of(s as usize, item.attr()), item, c)
-                        })
-                        .sum();
-                }
-                for (c, cand) in item.candidates().enumerate() {
-                    let mut v = votes[c];
-                    if uses_similarity {
-                        for &(j, sim) in cand.similar() {
-                            v += method.rho * sim * votes[j as usize];
-                        }
+        for i in 0..probabilities.num_items() {
+            let item = problem.item(i);
+            let num_candidates = item.num_candidates();
+            votes.clear();
+            votes.resize(num_candidates, 0.0);
+            adjusted.clear();
+            adjusted.resize(num_candidates, 0.0);
+            for (c, cand) in item.candidates().enumerate() {
+                votes[c] = cand
+                    .providers()
+                    .iter()
+                    .map(|&s| provider_score(method, trust.of(s as usize, item.attr()), item, c))
+                    .sum();
+            }
+            for (c, cand) in item.candidates().enumerate() {
+                let mut v = votes[c];
+                if uses_similarity {
+                    for &(j, sim) in cand.similar() {
+                        v += method.rho * sim * votes[j as usize];
                     }
-                    if uses_formatting {
-                        for &j in cand.coarse_supporters() {
-                            v += method.format_weight * votes[j as usize];
-                        }
-                    }
-                    adjusted[c] = v;
                 }
-                softmax_into(&adjusted[..num_candidates], out);
-            },
-        );
+                if uses_formatting {
+                    for &j in cand.coarse_supporters() {
+                        v += method.format_weight * votes[j as usize];
+                    }
+                }
+                adjusted[c] = v;
+            }
+            softmax_into(&adjusted[..num_candidates], probabilities.item_mut(i));
+        }
         let mut new_trust = trust.clone();
-        update_trust_from_scores(
-            problem,
-            probabilities,
-            &opts,
-            &mut new_trust,
-            trust_acc,
-            source_plan,
-        );
+        update_trust_from_scores(problem, probabilities, &opts, &mut new_trust, trust_acc, None);
         clamp_trust(&mut new_trust, 0.01, 0.99);
         let change = new_trust.max_change(&trust);
         trust = new_trust;
@@ -377,10 +357,8 @@ fn reference_run_accu(
             break;
         }
     }
-    *votes = std::mem::take(&mut pair.0);
-    *adjusted = std::mem::take(&mut pair.1);
     let mut selection = Vec::new();
-    chunking::argmax_plane_into(probabilities, item_plan, &mut selection);
+    probabilities.argmax_into(&mut selection);
     FusionResult::from_selection(&method.name(), problem, selection, trust, rounds, start)
 }
 
@@ -393,8 +371,6 @@ fn reference_run_truthfinder(
     scratch: &mut FusionScratch,
 ) -> FusionResult {
     let start = Instant::now();
-    let plans = ChunkPlans::from_options(options, problem);
-    let (item_plan, source_plan) = ChunkPlans::split(&plans);
     let FusionScratch {
         plane: confidence,
         cand_a: raw,
@@ -407,41 +383,28 @@ fn reference_run_truthfinder(
     let mut rounds = 0usize;
     for _ in 0..effective_rounds(options) {
         rounds += 1;
-        let trust_r = &trust;
-        chunking::for_each_item(
-            confidence,
-            item_plan,
-            raw,
-            Vec::new,
-            |i, out, raw: &mut Vec<f64>| {
-                let item = problem.item(i);
-                raw.clear();
-                raw.resize(item.num_candidates(), 0.0);
-                for (c, cand) in item.candidates().enumerate() {
-                    raw[c] = cand
-                        .providers()
-                        .iter()
-                        .map(|&s| -(1.0 - trust_r.of(s as usize, item.attr()).min(0.999)).ln())
-                        .sum();
+        for i in 0..confidence.num_items() {
+            let item = problem.item(i);
+            raw.clear();
+            raw.resize(item.num_candidates(), 0.0);
+            for (c, cand) in item.candidates().enumerate() {
+                raw[c] = cand
+                    .providers()
+                    .iter()
+                    .map(|&s| -(1.0 - trust.of(s as usize, item.attr()).min(0.999)).ln())
+                    .sum();
+            }
+            let out = confidence.item_mut(i);
+            for (c, cand) in item.candidates().enumerate() {
+                let mut adjusted = raw[c];
+                for &(j, sim) in cand.similar() {
+                    adjusted += method.rho * sim * raw[j as usize];
                 }
-                for (c, cand) in item.candidates().enumerate() {
-                    let mut adjusted = raw[c];
-                    for &(j, sim) in cand.similar() {
-                        adjusted += method.rho * sim * raw[j as usize];
-                    }
-                    out[c] = 1.0 / (1.0 + (-method.gamma * adjusted).exp());
-                }
-            },
-        );
+                out[c] = 1.0 / (1.0 + (-method.gamma * adjusted).exp());
+            }
+        }
         let mut new_trust = trust.clone();
-        update_trust_from_scores(
-            problem,
-            confidence,
-            options,
-            &mut new_trust,
-            trust_acc,
-            source_plan,
-        );
+        update_trust_from_scores(problem, confidence, options, &mut new_trust, trust_acc, None);
         let change = new_trust.max_change(&trust);
         trust = new_trust;
         if change < options.epsilon {
@@ -449,7 +412,7 @@ fn reference_run_truthfinder(
         }
     }
     let mut selection = Vec::new();
-    chunking::argmax_plane_into(confidence, item_plan, &mut selection);
+    confidence.argmax_into(&mut selection);
     FusionResult::from_selection(&method.name(), problem, selection, trust, rounds, start)
 }
 
@@ -466,8 +429,6 @@ fn reference_run_invest(
 ) -> FusionResult {
     let start = Instant::now();
     let mut trust = initial_trust(problem, options, 1.0);
-    let plans = ChunkPlans::from_options(options, problem);
-    let (item_plan, source_plan) = ChunkPlans::split(&plans);
     // Reusable buffers: the vote plane, the per-source investment, and the
     // per-item non-linear-growth scratch.
     let FusionScratch {
@@ -491,75 +452,58 @@ fn reference_run_invest(
                 trust.overall[s] / claims.len() as f64
             };
         }
-        let invested_r: &[f64] = invested;
-        // Accumulated investment per candidate (per item, so any item-range
-        // chunking is embarrassingly parallel).
-        chunking::for_each_item(
-            votes,
-            item_plan,
-            &mut (),
-            || (),
-            |i, out, _| {
-                let item = problem.item(i);
-                for (slot, cand) in out.iter_mut().zip(item.candidates()) {
-                    *slot = cand
-                        .providers()
-                        .iter()
-                        .map(|&s| invested_r[s as usize])
-                        .sum::<f64>();
-                }
-            },
-        );
+        // Accumulated investment per candidate.
+        for i in 0..votes.num_items() {
+            let item = problem.item(i);
+            for (slot, cand) in votes.item_mut(i).iter_mut().zip(item.candidates()) {
+                *slot = cand
+                    .providers()
+                    .iter()
+                    .map(|&s| invested[s as usize])
+                    .sum::<f64>();
+            }
+        }
         // Non-linear growth, optionally rescaled per item so the votes sum to
-        // the total investment on the item. The `total` / `grown_total` sums
-        // are *per item*, so this phase is also embarrassingly parallel; the
-        // chunked path gets a fresh growth buffer per chunk.
-        chunking::for_each_item(
-            votes,
-            item_plan,
-            grown,
-            Vec::new,
-            |_, item_votes, grown: &mut Vec<f64>| {
-                let total: f64 = item_votes.iter().sum();
-                grown.clear();
-                grown.resize(item_votes.len(), 0.0);
-                for (g, h) in grown.iter_mut().zip(item_votes.iter()) {
-                    *g = h.powf(growth);
-                }
-                let grown_total: f64 = grown.iter().sum();
-                for (slot, g) in item_votes.iter_mut().zip(grown.iter()) {
-                    *slot = if pooled {
-                        if grown_total > 0.0 {
-                            g / grown_total * total
-                        } else {
-                            0.0
-                        }
+        // the total investment on the item.
+        for i in 0..votes.num_items() {
+            let item_votes = votes.item_mut(i);
+            let total: f64 = item_votes.iter().sum();
+            grown.clear();
+            grown.resize(item_votes.len(), 0.0);
+            for (g, h) in grown.iter_mut().zip(item_votes.iter()) {
+                *g = h.powf(growth);
+            }
+            let grown_total: f64 = grown.iter().sum();
+            for (slot, g) in item_votes.iter_mut().zip(grown.iter()) {
+                *slot = if pooled {
+                    if grown_total > 0.0 {
+                        g / grown_total * total
                     } else {
-                        *g
-                    };
-                }
-            },
-        );
+                        0.0
+                    }
+                } else {
+                    *g
+                };
+            }
+        }
 
         // Pay the votes back to the investors, proportionally to their share
-        // of the investment. Each source's claim-order sum lands in its own
-        // slot, so the source axis chunks without re-association.
+        // of the investment.
         let mut new_trust = vec![0.0; problem.num_sources()];
-        let votes_r: &_ = votes;
-        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+        for (s, slot) in new_trust.iter_mut().enumerate() {
             for &(i, c) in problem.claims(s) {
                 let total_investment: f64 = problem
                     .item(i as usize)
                     .candidate(c as usize)
                     .providers()
                     .iter()
-                    .map(|&p| invested_r[p as usize])
+                    .map(|&p| invested[p as usize])
                     .sum();
                 if total_investment > 0.0 {
-                    *slot += votes_r.get(i as usize, c as usize) * invested_r[s] / total_investment;
+                    *slot += votes.get(i as usize, c as usize) * invested[s] / total_investment;
                 }
             }
-        });
+        }
         if !pooled {
             normalize_by_max(&mut new_trust);
         }
@@ -574,7 +518,7 @@ fn reference_run_invest(
         }
     }
     let mut selection = Vec::new();
-    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    votes.argmax_into(&mut selection);
     FusionResult::from_selection(name, problem, selection, trust, rounds, start)
 }
 
@@ -590,8 +534,6 @@ pub(crate) fn reference_run_estimates(
 ) -> FusionResult {
     let start = Instant::now();
     let mut trust = initial_trust(problem, options, 0.8);
-    let plans = ChunkPlans::from_options(options, problem);
-    let (item_plan, source_plan) = ChunkPlans::split(&plans);
     let FusionScratch {
         plane: votes,
         item_f: hardness,
@@ -606,59 +548,47 @@ pub(crate) fn reference_run_estimates(
         rounds += 1;
         // Complement-aware vote: providers contribute their (difficulty-
         // dampened) trust, non-providers contribute their distrust.
-        let trust_r = &trust;
-        let hardness_r: &[f64] = hardness;
-        chunking::for_each_item(
-            votes,
-            item_plan,
-            &mut (),
-            || (),
-            |i, out, _| {
-                let item = problem.item(i);
-                let dampen = |t: f64| -> f64 {
-                    if difficulty {
-                        t * (1.0 - hardness_r[i]) + 0.5 * hardness_r[i]
-                    } else {
-                        t
-                    }
-                };
-                for (c, cand) in item.candidates().enumerate() {
-                    let mut vote = 0.0;
-                    for &s in item.providers() {
-                        let t = dampen(trust_r.overall[s as usize]);
-                        if cand.providers().contains(&s) {
-                            vote += t;
-                        } else {
-                            vote += 1.0 - t;
-                        }
-                    }
-                    out[c] = vote / item.num_providers().max(1) as f64;
+        for i in 0..votes.num_items() {
+            let item = problem.item(i);
+            let dampen = |t: f64| -> f64 {
+                if difficulty {
+                    t * (1.0 - hardness[i]) + 0.5 * hardness[i]
+                } else {
+                    t
                 }
-            },
-        );
+            };
+            let out = votes.item_mut(i);
+            for (c, cand) in item.candidates().enumerate() {
+                let mut vote = 0.0;
+                for &s in item.providers() {
+                    let t = dampen(trust.overall[s as usize]);
+                    if cand.providers().contains(&s) {
+                        vote += t;
+                    } else {
+                        vote += 1.0 - t;
+                    }
+                }
+                out[c] = vote / item.num_providers().max(1) as f64;
+            }
+        }
         // Affine rescaling of all votes to [0, 1] — the plane is already the
-        // flat item-major vector the old code materialized each round; the
-        // chunked variant splits into the exact global min/max reduction and
-        // a per-chunk elementwise pass.
-        chunking::rescale_plane_to_unit(votes, item_plan);
+        // flat item-major vector the old code materialized each round.
+        rescale_to_unit(votes.values_mut());
         // Difficulty update: items whose best value is uncertain are hard.
-        // Per item, so the item plan chunks it directly.
         if difficulty {
-            let votes_r: &_ = votes;
-            chunking::for_each_slot(hardness, item_plan, |i, h| {
-                let best = votes_r.item(i).iter().cloned().fold(0.0, f64::max);
+            for (i, h) in hardness.iter_mut().enumerate() {
+                let best = votes.item(i).iter().cloned().fold(0.0, f64::max);
                 *h = (1.0 - best).clamp(0.0, 1.0);
-            });
+            }
         }
         // Trust update: average over claimed values' votes and the complement
         // of the competing values' votes; then affine rescaling.
         let mut new_trust = vec![0.0; problem.num_sources()];
-        let votes_r: &_ = votes;
-        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+        for (s, slot) in new_trust.iter_mut().enumerate() {
             let mut acc = 0.0;
             let mut count = 0usize;
             for &(i, c) in problem.claims(s) {
-                for (c2, &v) in votes_r.item(i as usize).iter().enumerate() {
+                for (c2, &v) in votes.item(i as usize).iter().enumerate() {
                     if c2 == c as usize {
                         acc += v;
                     } else {
@@ -668,7 +598,7 @@ pub(crate) fn reference_run_estimates(
                 }
             }
             *slot = if count == 0 { 0.5 } else { acc / count as f64 };
-        });
+        }
         rescale_to_unit(&mut new_trust);
         let new_estimate = TrustEstimate {
             overall: new_trust,
@@ -681,7 +611,7 @@ pub(crate) fn reference_run_estimates(
         }
     }
     let mut selection = Vec::new();
-    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    votes.argmax_into(&mut selection);
     FusionResult::from_selection(name, problem, selection, trust, rounds, start)
 }
 
@@ -696,8 +626,6 @@ pub(crate) fn reference_run_cosine(
 ) -> FusionResult {
     let start = Instant::now();
     let mut trust = initial_trust(problem, options, 0.8);
-    let plans = ChunkPlans::from_options(options, problem);
-    let (item_plan, source_plan) = ChunkPlans::split(&plans);
     let estimates = &mut scratch.plane;
     estimates.reset_for(problem);
     let mut rounds = 0usize;
@@ -705,44 +633,37 @@ pub(crate) fn reference_run_cosine(
         rounds += 1;
         // Truth estimate per candidate in [-1, 1]: supporters minus
         // opponents, normalized by the total trust on the item.
-        let trust_r = &trust;
-        chunking::for_each_item(
-            estimates,
-            item_plan,
-            &mut (),
-            || (),
-            |i, out, _| {
-                let item = problem.item(i);
-                let total: f64 = item
+        for i in 0..estimates.num_items() {
+            let item = problem.item(i);
+            let total: f64 = item
+                .providers()
+                .iter()
+                .map(|&s| trust.overall[s as usize])
+                .sum();
+            let out = estimates.item_mut(i);
+            for (c, cand) in item.candidates().enumerate() {
+                let support: f64 = cand
                     .providers()
                     .iter()
-                    .map(|&s| trust_r.overall[s as usize])
+                    .map(|&s| trust.overall[s as usize])
                     .sum();
-                for (c, cand) in item.candidates().enumerate() {
-                    let support: f64 = cand
-                        .providers()
-                        .iter()
-                        .map(|&s| trust_r.overall[s as usize])
-                        .sum();
-                    let oppose = total - support;
-                    out[c] = if total > 0.0 {
-                        (support - oppose) / total
-                    } else {
-                        0.0
-                    };
-                }
-            },
-        );
+                let oppose = total - support;
+                out[c] = if total > 0.0 {
+                    (support - oppose) / total
+                } else {
+                    0.0
+                };
+            }
+        }
         // Cosine similarity between each source's ±1 vector and the
         // estimates at the positions the source covers.
         let mut new_trust = vec![0.0; problem.num_sources()];
-        let estimates_r: &_ = estimates;
-        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+        for (s, slot) in new_trust.iter_mut().enumerate() {
             let mut dot = 0.0_f64;
             let mut claim_norm = 0.0_f64;
             let mut est_norm = 0.0_f64;
             for &(i, c) in problem.claims(s) {
-                for (c2, &e) in estimates_r.item(i as usize).iter().enumerate() {
+                for (c2, &e) in estimates.item(i as usize).iter().enumerate() {
                     let claim_entry = if c2 == c as usize { 1.0 } else { -1.0 };
                     dot += claim_entry * e;
                     claim_norm += 1.0;
@@ -751,9 +672,9 @@ pub(crate) fn reference_run_cosine(
             }
             let denom = claim_norm.sqrt() * est_norm.sqrt();
             let cosine = if denom > 1e-12 { dot / denom } else { 0.0 };
-            *slot = method.damping * trust_r.overall[s]
+            *slot = method.damping * trust.overall[s]
                 + (1.0 - method.damping) * cosine.clamp(0.0, 1.0);
-        });
+        }
         let new_estimate = TrustEstimate {
             overall: new_trust,
             per_attr: None,
@@ -765,7 +686,7 @@ pub(crate) fn reference_run_cosine(
         }
     }
     let mut selection = Vec::new();
-    chunking::argmax_plane_into(estimates, item_plan, &mut selection);
+    estimates.argmax_into(&mut selection);
     FusionResult::from_selection(&method.name(), problem, selection, trust, rounds, start)
 }
 
@@ -790,9 +711,48 @@ pub(crate) fn assert_same_bits(live: &FusionResult, frozen: &FusionResult, conte
 mod tests {
     use super::*;
     use crate::methods::{Cosine, Invest, PooledInvest, ThreeEstimates, TwoEstimates};
+    use datamodel::{AttrId, AttrKind, DomainSchema, ObjectId, Snapshot, SnapshotBuilder, SourceId,
+        Value};
+    use std::sync::Arc;
 
-    /// Seeded Stock and Flight reference days plus the stacked
-    /// `kitchen_sink` scenario's reference day.
+    /// A one-item snapshot: two sources disagreeing on a single value.
+    fn one_item_snapshot() -> Snapshot {
+        let mut schema = DomainSchema::new("one-item");
+        schema.add_attribute("x", AttrKind::Numeric { scale: 100.0 }, false);
+        schema.add_source("a", false);
+        schema.add_source("b", false);
+        let mut b = SnapshotBuilder::new(0);
+        b.add(SourceId(0), ObjectId(0), AttrId(0), Value::number(1.0));
+        b.add(SourceId(1), ObjectId(0), AttrId(0), Value::number(2.0));
+        b.build(Arc::new(schema))
+    }
+
+    /// A few-item snapshot with ragged candidate rows: a four-way contested
+    /// item, a single-provider item, and a unanimous two-provider item.
+    fn ragged_snapshot() -> Snapshot {
+        let mut schema = DomainSchema::new("ragged");
+        schema.add_attribute("x", AttrKind::Numeric { scale: 100.0 }, false);
+        for name in ["a", "b", "c", "d"] {
+            schema.add_source(name, false);
+        }
+        let mut b = SnapshotBuilder::new(0);
+        let a = AttrId(0);
+        // Item 0: four providers, three distinct values (ragged row).
+        b.add(SourceId(0), ObjectId(0), a, Value::number(10.0));
+        b.add(SourceId(1), ObjectId(0), a, Value::number(10.0));
+        b.add(SourceId(2), ObjectId(0), a, Value::number(55.0));
+        b.add(SourceId(3), ObjectId(0), a, Value::number(70.0));
+        // Item 1: one provider, one candidate.
+        b.add(SourceId(2), ObjectId(1), a, Value::number(12.0));
+        // Item 2: two providers, unanimous.
+        b.add(SourceId(0), ObjectId(2), a, Value::number(33.0));
+        b.add(SourceId(3), ObjectId(2), a, Value::number(33.0));
+        b.build(Arc::new(schema))
+    }
+
+    /// Seeded Stock and Flight reference days, the stacked `kitchen_sink`
+    /// scenario's reference day, and the degenerate one-item and ragged
+    /// few-item snapshots.
     fn worlds() -> Vec<(&'static str, FusionProblem)> {
         let stock = datagen::generate(&datagen::stock_config(2012).scaled(0.02, 0.1));
         let flight = datagen::generate(&datagen::flight_config(2012).scaled(0.1, 0.06));
@@ -806,6 +766,8 @@ mod tests {
                 "kitchen_sink",
                 FusionProblem::from_snapshot(&kitchen_sink.domain.collection.reference_day().snapshot),
             ),
+            ("one_item", FusionProblem::from_snapshot(&one_item_snapshot())),
+            ("ragged", FusionProblem::from_snapshot(&ragged_snapshot())),
         ]
     }
 
