@@ -43,7 +43,7 @@ fn bench_fusion_detection(c: &mut Criterion) {
         let co = CoClaims::build(&problem, 10);
         let mut errors = vec![0.0; problem.num_sources()];
         let mut out = fusion::CopyMatrix::new(problem.num_sources());
-        b.iter(|| co.rescore(&problem, &dominant, 0.8, 0.1, &mut errors, &mut out, None, None))
+        b.iter(|| co.rescore(&problem, &dominant, 0.8, 0.1, &mut errors, &mut out))
     });
     group.bench_function("accucopy_run_stock", |b| {
         b.iter(|| method.run(&problem, &FusionOptions::standard()))

@@ -28,15 +28,6 @@
 //! from machines with different vector units or core counts are not silently
 //! compared as like-for-like.
 //!
-//! Alongside the across-day fan-out, the binary measures **intra-day**
-//! parallelism (`fusion::chunking`): the heaviest method (AccuCopy) on the
-//! kitchen-sink world, sequential vs chunked across the pool, asserted
-//! bit-identical and reported as `intra_day` in the artifact. On a single
-//! thread the chunked pass only measures chunking overhead, so — like the
-//! fan-out speedup — the ratio is flagged invalid rather than reported.
-//! Pass `--scale 10` to run the measurement on the full scale-10
-//! kitchen-sink world (~a million observations per day).
-//!
 //! The artifact also carries a `delta` record: a dirty-fraction sweep (1%,
 //! 10%, 50% changed claims per day) comparing the warm
 //! [`fusion::DeltaEngine`] against cold per-day re-preparation on a planted
@@ -231,81 +222,6 @@ fn report(domain: &GeneratedDomain, repeats: usize) -> Json {
         .field("methods", methods)
 }
 
-/// Intra-day chunking measurement: the heaviest registry method (AccuCopy)
-/// on the kitchen-sink world, run sequentially and chunked across the rayon
-/// pool on the same [`fusion::FusionProblem`]. Both runs are asserted
-/// bit-identical (chunk boundaries are fixed and merges are ordered, so the
-/// chunk count must be invisible in the output); per-pass timings are the
-/// median of `repeats` samples. With one thread the chunked pass can only
-/// measure chunking overhead, so the speedup is flagged invalid instead of
-/// reported — the 1-core analogue of `fanout_speedup_valid`.
-fn intra_day_report(args: &ExpArgs, repeats: usize) -> Json {
-    let scenario = args
-        .scenario("kitchen_sink")
-        .expect("kitchen_sink is a registered scenario");
-    let world = scenario.build();
-    let day = world.domain.collection.reference_day();
-    let problem = fusion::FusionProblem::from_snapshot(&day.snapshot);
-    let method = fusion::method_by_name("AccuCopy").expect("AccuCopy is registered");
-    let threads = evaluation::ChunkPolicy::from_pool().threads();
-    // Always exercise the chunked code path in the artifact run, even on one
-    // thread (where the timing is flagged invalid below): at least two
-    // chunks, at most one per thread once threads > 1.
-    let chunks = threads.max(2);
-    let sequential_opts = fusion::FusionOptions::standard();
-    let chunked_opts = fusion::FusionOptions::standard().with_intra_day_chunks(chunks);
-
-    // Untimed warm-up doubling as the bit-identity assertion.
-    let sequential_run = method.run(&problem, &sequential_opts);
-    let chunked_run = method.run(&problem, &chunked_opts);
-    assert_eq!(
-        sequential_run.selection, chunked_run.selection,
-        "chunked AccuCopy selection diverged from sequential"
-    );
-    let seq_bits: Vec<u64> = sequential_run.trust.overall.iter().map(|t| t.to_bits()).collect();
-    let chunk_bits: Vec<u64> = chunked_run.trust.overall.iter().map(|t| t.to_bits()).collect();
-    assert_eq!(
-        seq_bits, chunk_bits,
-        "chunked AccuCopy trust bits diverged from sequential"
-    );
-
-    let time_pass = |opts: &fusion::FusionOptions| {
-        let mut samples: Vec<Duration> = (0..repeats)
-            .map(|_| {
-                let start = Instant::now();
-                let _ = method.run(&problem, opts);
-                start.elapsed()
-            })
-            .collect();
-        median_duration(&mut samples)
-    };
-    let sequential_s = time_pass(&sequential_opts).as_secs_f64();
-    let chunked_s = time_pass(&chunked_opts).as_secs_f64();
-    let speedup = sequential_s / chunked_s.max(f64::MIN_POSITIVE);
-    let valid = threads > 1;
-    let note = if valid {
-        format!("speedup {speedup:.1}x")
-    } else {
-        "speedup n/a on 1 thread — the ratio would only measure chunking overhead".to_string()
-    };
-    println!(
-        "Intra-day: AccuCopy on kitchen_sink ({} items, {} observations); \
-         sequential {sequential_s:.2} s vs {chunks} chunks on {threads} thread(s) \
-         {chunked_s:.2} s ({note})",
-        problem.num_items(),
-        problem.num_claims(),
-    );
-    Json::object()
-        .field("world", Json::string("kitchen_sink"))
-        .field("method", Json::string("AccuCopy"))
-        .field("num_items", Json::int(problem.num_items()))
-        .field("chunks", Json::int(chunks))
-        .field("sequential_s", Json::Number(sequential_s))
-        .field("chunked_s", Json::Number(chunked_s))
-        .field("intra_day_speedup", Json::Number(speedup))
-        .field("intra_day_speedup_valid", Json::Bool(valid))
-}
-
 /// Delta-engine measurement: a dirty-fraction sweep (1%, 10%, 50% changed
 /// claims per day) over a planted day-over-day mutation stream on a neutral
 /// scenario world. For each fraction the same successor days run twice:
@@ -490,7 +406,6 @@ fn main() {
     let (stock, flight) = args.both_domains("Figure 12");
     let stock_json = report(&stock, args.repeats);
     let flight_json = report(&flight, args.repeats);
-    let intra_day = intra_day_report(&args, args.repeats);
     let delta = delta_report(&args, args.repeats);
     println!(
         "Kernels: dispatched to the {} backend (CPU features: {})",
@@ -522,7 +437,7 @@ fn main() {
         )
         .field(
             "rayon_threads",
-            Json::int(evaluation::ChunkPolicy::from_pool().threads()),
+            Json::int(rayon::current_num_threads()),
         )
         .field(
             "available_parallelism",
@@ -532,7 +447,6 @@ fn main() {
                     .unwrap_or(1),
             ),
         )
-        .field("intra_day", intra_day)
         .field("delta", delta)
         .field("domains", Json::Array(vec![stock_json, flight_json]));
 

@@ -483,8 +483,7 @@ pub fn by_name(name: &str) -> Option<Scenario> {
         // Every knob at once: a laundering ring over heavy-tail coverage,
         // mid-stream quality flips, format drift, and long provider rows.
         // The golden default stays CI-sized; `.scaled_to(10.0)` of this same
-        // scenario is the million-item intra-day chunking workload the
-        // `intra_day` bench and `exp_fig12_efficiency` measure.
+        // scenario reaches about a million observations per day.
         "kitchen_sink" => Scenario::new(name)
             .scaled_to(0.08)
             .over_days(3)

@@ -13,9 +13,6 @@
 //!   [`fusion::DeltaEngine`];
 //! * [`delta_usage`] — aggregated delta-engine activity (re-fused item
 //!   counts, fall-backs, cache hits) reported by the `--delta` bench legs;
-//! * [`chunk_policy`] — picks between across-task fan-out and intra-day
-//!   [`fusion::chunking`] from the task stats (few big days chunk within
-//!   the day, many small days fan across days);
 //! * [`breakdown`] — precision vs. dominance factor (Figure 10);
 //! * [`errors`] — error analysis of a method's mistakes (Figure 11);
 //! * [`over_time`] — precision over all collection days (Table 9), cold
@@ -24,7 +21,6 @@
 //!   scenarios (per-method precision + copy-detection hit rates).
 
 pub mod breakdown;
-pub mod chunk_policy;
 pub mod compare;
 pub mod delta_usage;
 pub mod errors;
@@ -35,7 +31,6 @@ pub mod runner;
 pub mod scenario;
 
 pub use breakdown::{precision_by_dominance, DominancePrecisionPoint};
-pub use chunk_policy::ChunkPolicy;
 pub use compare::{compare_methods, MethodComparison, PAPER_METHOD_PAIRS};
 pub use delta_usage::DeltaUsage;
 pub use errors::{analyze_errors, ErrorAnalysis, ErrorCause};
@@ -47,9 +42,8 @@ pub use metrics::{
 };
 pub use over_time::{evaluate_over_time, evaluate_over_time_delta, MethodOverTime};
 pub use runner::{
-    copy_report_to_dense, evaluate_all_methods, evaluate_days, evaluate_method,
-    evaluate_method_with_chunks, same_results, DayEvaluation, EvaluationContext,
-    MethodEvaluation,
+    copy_report_to_dense, evaluate_all_methods, evaluate_days, evaluate_method, same_results,
+    DayEvaluation, EvaluationContext, MethodEvaluation,
 };
 pub use scenario::{
     evaluate_scenario_day, render_golden_table, ScenarioMethodRow, ScenarioOutcome,

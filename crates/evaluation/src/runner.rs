@@ -7,7 +7,6 @@
 //! fanning every (day, method) pair across CPU cores with rows identical to
 //! the reference.
 
-use crate::chunk_policy::ChunkPolicy;
 use crate::metrics::{precision_recall, sampled_trust, trust_deviation_and_difference};
 use copydetect::{known_copying, CopyReport};
 use datamodel::{Collection, GoldStandard, Snapshot};
@@ -102,39 +101,21 @@ pub struct MethodEvaluation {
     pub elapsed: Duration,
 }
 
-/// Evaluate a single method on a context. `category` is only used for the
-/// report label. Runs sequentially; use [`evaluate_method_with_chunks`] to
-/// let one method parallelize within the day.
+/// Evaluate a single method on a context, on the calling thread. `category`
+/// is only used for the report label.
 pub fn evaluate_method(
     context: &EvaluationContext<'_>,
     category: MethodCategory,
     method: &dyn FusionMethod,
 ) -> MethodEvaluation {
-    evaluate_method_with_chunks(context, category, method, 0)
-}
-
-/// [`evaluate_method`] with an explicit intra-day chunk count (see
-/// [`fusion::chunking`]), forwarded to
-/// [`FusionOptions::with_intra_day_chunks`] for both the without-trust and
-/// with-trust runs; `0` keeps the method sequential. Chunked rows are
-/// bit-identical to sequential rows, so callers choose the count purely on
-/// performance grounds — typically via [`ChunkPolicy`].
-pub fn evaluate_method_with_chunks(
-    context: &EvaluationContext<'_>,
-    category: MethodCategory,
-    method: &dyn FusionMethod,
-    intra_day_chunks: usize,
-) -> MethodEvaluation {
     let mut scratch = FusionScratch::new();
-    let standard = FusionOptions::standard().with_intra_day_chunks(intra_day_chunks);
-    let without = method.run_with_scratch(&context.problem, &standard, &mut scratch);
+    let without =
+        method.run_with_scratch(&context.problem, &FusionOptions::standard(), &mut scratch);
     let pr_without = precision_recall(context.snapshot, context.gold, &without);
     let (deviation, difference) =
         trust_deviation_and_difference(&without.trust.overall, &context.sampled_trust);
 
-    let mut with_opts = FusionOptions::standard()
-        .with_intra_day_chunks(intra_day_chunks)
-        .with_input_trust(context.sampled_trust.clone());
+    let mut with_opts = FusionOptions::standard().with_input_trust(context.sampled_trust.clone());
     if let Some(known) = &context.known_copying {
         with_opts = with_opts.with_known_copying(known.clone());
     }
@@ -180,11 +161,10 @@ pub struct DayEvaluation {
 ///
 /// The contexts are prepared in parallel, then every (day, method) pair is
 /// one task, so expensive methods on one day overlap cheap methods on
-/// another. Spare threads (a pool wider than the task list — one big day on
-/// a many-core box) go to intra-day chunks through [`ChunkPolicy`]. Fusion is
-/// deterministic and chunking is bit-invisible, so the rows equal
-/// [`evaluate_all_methods`] on each day's [`EvaluationContext`], in request
-/// order; [`same_results`] encodes that equivalence.
+/// another; each method run is one sequential loop. Fusion is
+/// deterministic, so the rows equal [`evaluate_all_methods`] on each day's
+/// [`EvaluationContext`], in request order; [`same_results`] encodes that
+/// equivalence.
 ///
 /// # Panics
 ///
@@ -212,8 +192,6 @@ pub fn evaluate_days(
     let tasks: Vec<(usize, usize)> = (0..contexts.len())
         .flat_map(|day| (0..methods.len()).map(move |method| (day, method)))
         .collect();
-    let policy = ChunkPolicy::from_pool();
-    let num_tasks = tasks.len();
     // Rows come back in task order (day-major), so each day's rows are the
     // next `methods.len()` of them.
     let mut rows = tasks
@@ -221,8 +199,7 @@ pub fn evaluate_days(
         .map(|(day, method)| {
             let context = &contexts[day];
             let (category, method) = &methods[method];
-            let chunks = policy.intra_day_chunks(num_tasks, context.problem.num_items());
-            evaluate_method_with_chunks(context, *category, method.as_ref(), chunks)
+            evaluate_method(context, *category, method.as_ref())
         })
         .collect::<Vec<_>>()
         .into_iter();

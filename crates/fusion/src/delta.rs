@@ -38,9 +38,7 @@
 //! scratch it borrows shows in the output.
 //!
 //! A day whose dirty fraction exceeds [`MAX_DIRTY_FRACTION`] is re-prepared
-//! from scratch instead of spliced, and the engine composes with intra-day
-//! chunking: `FusionOptions::intra_day_chunks` passes through untouched and
-//! stays invisible in the output.
+//! from scratch instead of spliced.
 
 use crate::methods::FusionMethod;
 use crate::problem::ProblemBuilder;
@@ -352,8 +350,7 @@ impl DeltaEngine {
 }
 
 /// Whether two option sets produce interchangeable results for caching
-/// purposes. `intra_day_chunks` is excluded: chunking is bit-invisible in
-/// the output, pinned by `tests/chunk_equivalence.rs`.
+/// purposes: every field of [`FusionOptions`] agrees, floats bit for bit.
 fn options_compatible(a: &FusionOptions, b: &FusionOptions) -> bool {
     a.max_rounds == b.max_rounds
         && a.epsilon.to_bits() == b.epsilon.to_bits()

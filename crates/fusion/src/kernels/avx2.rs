@@ -23,7 +23,7 @@ use core::arch::x86_64::*;
 
 /// Tree-reduced slice maximum; exact for non-NaN input.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn max_value(xs: &[f64]) -> f64 {
+unsafe fn max_value(xs: &[f64]) -> f64 {
     let mut acc = _mm256_set1_pd(f64::NEG_INFINITY);
     let mut i = 0usize;
     while i + 4 <= xs.len() {
@@ -41,7 +41,7 @@ pub(super) unsafe fn max_value(xs: &[f64]) -> f64 {
 
 /// Tree-reduced slice minimum; exact for non-NaN input.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn min_value(xs: &[f64]) -> f64 {
+unsafe fn min_value(xs: &[f64]) -> f64 {
     let mut acc = _mm256_set1_pd(f64::INFINITY);
     let mut i = 0usize;
     while i + 4 <= xs.len() {

@@ -202,57 +202,6 @@ pub fn argmax_into(offsets: &[u32], values: &[f64], selection: &mut Vec<usize>) 
     scalar::argmax_into(offsets, values, selection);
 }
 
-/// Slice-writing variant of [`argmax_into`] for the chunked selection path:
-/// `out` holds one slot per item of the `offsets` sub-table
-/// (`offsets.len() == out.len() + 1`), and `values` is always the **full**
-/// plane — the offsets index it absolutely, so a chunk's sub-table works
-/// against the shared values without any rebasing. Same selection rule and
-/// scalar kernel as [`argmax_into`].
-pub fn argmax_into_slice(offsets: &[u32], values: &[f64], out: &mut [usize]) {
-    debug_assert_eq!(offsets.len(), out.len() + 1);
-    debug_assert!(offsets.last().copied().unwrap_or(0) as usize <= values.len());
-    scalar::argmax_into_slice(offsets, values, out);
-}
-
-/// Exact slice maximum (`-inf` on empty input). The chunked two-pass
-/// normalize path reduces over the full plane with this before scaling per
-/// chunk; `max` folds are associative and commutative for the non-NaN
-/// planes, so scalar and AVX2 reductions agree bit for bit.
-pub fn max_value(xs: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2Fma {
-        // SAFETY: backend gate as above.
-        return unsafe { avx2::max_value(xs) };
-    }
-    scalar::max_value(xs)
-}
-
-/// Exact slice minimum (`+inf` on empty input); see [`max_value`].
-pub fn min_value(xs: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2Fma {
-        // SAFETY: backend gate as above.
-        return unsafe { avx2::min_value(xs) };
-    }
-    scalar::min_value(xs)
-}
-
-/// The elementwise scale pass of [`normalize_by_max`] with the maximum
-/// already reduced (the chunked path's second pass). Division is correctly
-/// rounded, so per-chunk application is bit-identical to the sequential
-/// epilogue on any backend; the plain loop autovectorizes, so no explicit
-/// SIMD variant is needed.
-pub fn apply_normalize_by_max(xs: &mut [f64], max: f64) {
-    scalar::apply_normalize_by_max(xs, max);
-}
-
-/// The elementwise affine pass of [`rescale_to_unit`] with the extrema
-/// already reduced (the chunked path's second pass); see
-/// [`apply_normalize_by_max`] for why scalar-only is exact.
-pub fn apply_rescale_to_unit(xs: &mut [f64], min: f64, max: f64) {
-    scalar::apply_rescale_to_unit(xs, min, max);
-}
-
 /// Divide every element by the slice maximum (no-op when the maximum is not
 /// positive). The SIMD max reduction is exact for non-NaN inputs.
 pub fn normalize_by_max(xs: &mut [f64]) {

@@ -97,19 +97,15 @@ fn argmax_one(lo: usize, hi: usize, values: &[f64]) -> usize {
 /// See [`super::argmax_into`].
 pub fn argmax_into(offsets: &[u32], values: &[f64], selection: &mut Vec<usize>) {
     selection.clear();
-    selection.resize(offsets.len().saturating_sub(1), 0);
-    argmax_into_slice(offsets, values, selection);
-}
-
-/// See [`super::argmax_into_slice`].
-pub fn argmax_into_slice(offsets: &[u32], values: &[f64], out: &mut [usize]) {
-    for (slot, w) in out.iter_mut().zip(offsets.windows(2)) {
-        *slot = argmax_one(w[0] as usize, w[1] as usize, values);
-    }
+    selection.extend(
+        offsets
+            .windows(2)
+            .map(|w| argmax_one(w[0] as usize, w[1] as usize, values)),
+    );
 }
 
 /// Unrolled `max` fold: four independent accumulators, combined at the end.
-pub fn max_value(xs: &[f64]) -> f64 {
+fn max_value(xs: &[f64]) -> f64 {
     let mut iter = xs.chunks_exact(4);
     let mut acc = [f64::NEG_INFINITY; 4];
     for chunk in &mut iter {
@@ -125,8 +121,8 @@ pub fn max_value(xs: &[f64]) -> f64 {
     max
 }
 
-/// Unrolled `min` fold (see [`max_value`]).
-pub fn min_value(xs: &[f64]) -> f64 {
+/// Unrolled `min` fold (see `max_value`).
+fn min_value(xs: &[f64]) -> f64 {
     let mut iter = xs.chunks_exact(4);
     let mut acc = [f64::INFINITY; 4];
     for chunk in &mut iter {
@@ -145,12 +141,6 @@ pub fn min_value(xs: &[f64]) -> f64 {
 /// See [`super::normalize_by_max`].
 pub fn normalize_by_max(xs: &mut [f64]) {
     let max = max_value(xs);
-    apply_normalize_by_max(xs, max);
-}
-
-/// See [`super::apply_normalize_by_max`]: the elementwise scale pass of
-/// [`normalize_by_max`] with the (exact) maximum already reduced.
-pub fn apply_normalize_by_max(xs: &mut [f64], max: f64) {
     if max > 0.0 {
         for x in xs.iter_mut() {
             *x /= max;
@@ -162,12 +152,6 @@ pub fn apply_normalize_by_max(xs: &mut [f64], max: f64) {
 pub fn rescale_to_unit(xs: &mut [f64]) {
     let min = min_value(xs);
     let max = max_value(xs);
-    apply_rescale_to_unit(xs, min, max);
-}
-
-/// See [`super::apply_rescale_to_unit`]: the elementwise affine pass of
-/// [`rescale_to_unit`] with the (exact) extrema already reduced.
-pub fn apply_rescale_to_unit(xs: &mut [f64], min: f64, max: f64) {
     if !min.is_finite() || !max.is_finite() {
         return;
     }

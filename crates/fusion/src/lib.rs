@@ -22,7 +22,6 @@
 
 #![deny(missing_docs)]
 
-pub mod chunking;
 pub mod copymatrix;
 pub mod delta;
 pub mod kernels;
@@ -31,7 +30,6 @@ pub mod problem;
 pub mod registry;
 pub mod types;
 
-pub use chunking::{ChunkPlan, ChunkPlans};
 pub use copymatrix::CopyMatrix;
 pub use delta::{AdvanceReport, DeltaEngine, RunReport};
 pub use methods::FusionMethod;

@@ -38,7 +38,6 @@
 //! summation order is unchanged, so the results are bit-identical to it
 //! (the frozen loops in `methods/reference.rs` pin this).
 
-use crate::chunking::{self, ChunkPlan, ChunkPlans};
 use crate::kernels;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
@@ -80,8 +79,6 @@ impl FusionMethod for TruthFinder {
         scratch: &mut FusionScratch,
     ) -> FusionResult {
         let start = Instant::now();
-        let plans = ChunkPlans::from_options(options, problem);
-        let (item_plan, source_plan) = ChunkPlans::split(&plans);
         let FusionScratch {
             plane: confidence,
             cand_a: raw,
@@ -100,47 +97,32 @@ impl FusionMethod for TruthFinder {
             fill_table_from_trust(problem, &trust, score_table, |t| {
                 -(1.0 - t.min(0.999)).ln()
             });
-            let table: &[f64] = score_table;
-            chunking::for_each_item(
-                confidence,
-                item_plan,
-                raw,
-                Vec::new,
-                |i, out, raw: &mut Vec<f64>| {
-                    let item = problem.item(i);
-                    let attr = item.attr();
-                    raw.clear();
-                    raw.resize(item.num_candidates(), 0.0);
-                    // Raw trustworthiness score: sum of -ln(1 - τ) over
-                    // providers.
-                    for (c, cand) in item.candidates().enumerate() {
-                        raw[c] = cand
-                            .providers()
-                            .iter()
-                            .map(|&s| table[s as usize * num_attrs + attr])
-                            .sum();
+            for i in 0..confidence.num_items() {
+                let item = problem.item(i);
+                let attr = item.attr();
+                raw.clear();
+                raw.resize(item.num_candidates(), 0.0);
+                // Raw trustworthiness score: sum of -ln(1 - τ) over providers.
+                for (c, cand) in item.candidates().enumerate() {
+                    raw[c] = cand
+                        .providers()
+                        .iter()
+                        .map(|&s| score_table[s as usize * num_attrs + attr])
+                        .sum();
+                }
+                // Similarity adjustment and sigmoid.
+                let out = confidence.item_mut(i);
+                for (c, cand) in item.candidates().enumerate() {
+                    let mut adjusted = raw[c];
+                    for &(j, sim) in cand.similar() {
+                        adjusted += self.rho * sim * raw[j as usize];
                     }
-                    // Similarity adjustment and sigmoid (intra-item only, so
-                    // per-item chunking is embarrassingly parallel).
-                    for (c, cand) in item.candidates().enumerate() {
-                        let mut adjusted = raw[c];
-                        for &(j, sim) in cand.similar() {
-                            adjusted += self.rho * sim * raw[j as usize];
-                        }
-                        out[c] = 1.0 / (1.0 + (-self.gamma * adjusted).exp());
-                    }
-                },
-            );
+                    out[c] = 1.0 / (1.0 + (-self.gamma * adjusted).exp());
+                }
+            }
             // Trust update: average confidence of the source's claims.
             let mut new_trust = trust.clone();
-            update_trust_from_scores(
-                problem,
-                confidence,
-                options,
-                &mut new_trust,
-                trust_acc,
-                source_plan,
-            );
+            update_trust_from_scores(problem, confidence, options, &mut new_trust, trust_acc);
             let change = new_trust.max_change(&trust);
             trust = new_trust;
             if change < options.epsilon {
@@ -148,7 +130,7 @@ impl FusionMethod for TruthFinder {
             }
         }
         let mut selection = Vec::new();
-        chunking::argmax_plane_into(confidence, item_plan, &mut selection);
+        confidence.argmax_into(&mut selection);
         FusionResult::from_selection(&self.name(), problem, selection, trust, rounds, start)
     }
 }
@@ -299,8 +281,6 @@ impl FusionMethod for Accu {
         let start = Instant::now();
         let mut opts = options.clone();
         opts.per_attribute_trust = opts.per_attribute_trust || self.per_attribute;
-        let plans = ChunkPlans::from_options(&opts, problem);
-        let (item_plan, source_plan) = ChunkPlans::split(&plans);
         let FusionScratch {
             plane: probabilities,
             cand_a: votes,
@@ -312,67 +292,49 @@ impl FusionMethod for Accu {
         let mut trust = initial_trust(problem, &opts, self.initial_accuracy);
         probabilities.reset_for(problem);
         let pop_ln = self.popularity_ln(problem);
+        let pop_ln = pop_ln.as_deref();
         let num_attrs = problem.num_attrs;
-        // Per-item (votes, adjusted) scratch pair. The sequential path keeps
-        // reusing the warm FusionScratch buffers (taken here, restored below);
-        // chunked runs allocate one fresh pair per chunk.
-        let mut pair = (std::mem::take(votes), std::mem::take(adjusted));
         let mut rounds = 0usize;
         for _ in 0..effective_rounds(&opts) {
             rounds += 1;
             self.fill_score_table(problem, &trust, score_table);
-            let table: &[f64] = score_table;
-            let pop_ln = pop_ln.as_deref();
-            chunking::for_each_item(
-                probabilities,
-                item_plan,
-                &mut pair,
-                Default::default,
-                |i, out, (votes, adjusted): &mut (Vec<f64>, Vec<f64>)| {
-                    let item = problem.item(i);
-                    let attr = item.attr();
-                    let num_candidates = item.num_candidates();
-                    votes.clear();
-                    votes.resize(num_candidates, 0.0);
-                    adjusted.clear();
-                    adjusted.resize(num_candidates, 0.0);
-                    let first = item.cand_range().start;
-                    for (c, cand) in item.candidates().enumerate() {
-                        // `x - 0.0 == x` bit for bit, so the variants
-                        // without a popularity term share this sum.
-                        let pop = pop_ln.map_or(0.0, |pop_ln| pop_ln[first + c]);
-                        votes[c] = cand
-                            .providers()
-                            .iter()
-                            .map(|&s| table[s as usize * num_attrs + attr] - pop)
-                            .sum();
-                    }
-                    for (c, cand) in item.candidates().enumerate() {
-                        let mut v = votes[c];
-                        if self.uses_similarity() {
-                            for &(j, sim) in cand.similar() {
-                                v += self.rho * sim * votes[j as usize];
-                            }
+            for i in 0..probabilities.num_items() {
+                let item = problem.item(i);
+                let attr = item.attr();
+                let num_candidates = item.num_candidates();
+                votes.clear();
+                votes.resize(num_candidates, 0.0);
+                adjusted.clear();
+                adjusted.resize(num_candidates, 0.0);
+                let first = item.cand_range().start;
+                for (c, cand) in item.candidates().enumerate() {
+                    // `x - 0.0 == x` bit for bit, so the variants without a
+                    // popularity term share this sum.
+                    let pop = pop_ln.map_or(0.0, |pop_ln| pop_ln[first + c]);
+                    votes[c] = cand
+                        .providers()
+                        .iter()
+                        .map(|&s| score_table[s as usize * num_attrs + attr] - pop)
+                        .sum();
+                }
+                for (c, cand) in item.candidates().enumerate() {
+                    let mut v = votes[c];
+                    if self.uses_similarity() {
+                        for &(j, sim) in cand.similar() {
+                            v += self.rho * sim * votes[j as usize];
                         }
-                        if self.uses_formatting() {
-                            for &j in cand.coarse_supporters() {
-                                v += self.format_weight * votes[j as usize];
-                            }
-                        }
-                        adjusted[c] = v;
                     }
-                    softmax_into(&adjusted[..num_candidates], out);
-                },
-            );
+                    if self.uses_formatting() {
+                        for &j in cand.coarse_supporters() {
+                            v += self.format_weight * votes[j as usize];
+                        }
+                    }
+                    adjusted[c] = v;
+                }
+                softmax_into(&adjusted[..num_candidates], probabilities.item_mut(i));
+            }
             let mut new_trust = trust.clone();
-            update_trust_from_scores(
-                problem,
-                probabilities,
-                &opts,
-                &mut new_trust,
-                trust_acc,
-                source_plan,
-            );
+            update_trust_from_scores(problem, probabilities, &opts, &mut new_trust, trust_acc);
             clamp_trust(&mut new_trust, 0.01, 0.99);
             let change = new_trust.max_change(&trust);
             trust = new_trust;
@@ -380,10 +342,8 @@ impl FusionMethod for Accu {
                 break;
             }
         }
-        *votes = std::mem::take(&mut pair.0);
-        *adjusted = std::mem::take(&mut pair.1);
         let mut selection = Vec::new();
-        chunking::argmax_plane_into(probabilities, item_plan, &mut selection);
+        probabilities.argmax_into(&mut selection);
         FusionResult::from_selection(&self.name(), problem, selection, trust, rounds, start)
     }
 }
@@ -423,18 +383,12 @@ pub(crate) fn softmax_into(scores: &[f64], out: &mut [f64]) {
 /// each source, optionally per attribute. `acc` provides the reusable S and
 /// S×A accumulators (re-zeroed here), so the per-round update allocates
 /// nothing once the scratch is warm.
-///
-/// With a `source_plan`, the source axis is cut into contiguous ranges and
-/// each chunk fills its disjoint slice of the accumulators in parallel. Every
-/// source still sums its own claims in claim order into its own slot, so the
-/// result is bit-identical to the sequential walk.
 pub(crate) fn update_trust_from_scores(
     problem: &FusionProblem,
     scores: &VotePlane,
     options: &FusionOptions,
     trust: &mut TrustEstimate,
     acc: &mut TrustScratch,
-    source_plan: Option<&ChunkPlan>,
 ) {
     let per_attr = options.per_attribute_trust || trust.per_attr.is_some();
     let num_attrs = problem.num_attrs;
@@ -442,85 +396,21 @@ pub(crate) fn update_trust_from_scores(
     // per-attribute variants; they share the flat `source * num_attrs + attr`
     // layout of [`AttrTrust`].
     acc.reset(problem.num_sources(), num_attrs, per_attr);
-    match source_plan {
-        None => {
-            for (s, claims) in problem.claims_by_source().enumerate() {
-                acc.overall_count[s] = claims.len();
-                if per_attr {
-                    let row = s * num_attrs..(s + 1) * num_attrs;
-                    acc.overall_sum[s] = kernels::sum_claim_scores_per_attr(
-                        claims,
-                        scores.offsets(),
-                        scores.values(),
-                        problem.item_attrs_flat(),
-                        &mut acc.attr_sum[row.clone()],
-                        &mut acc.attr_count[row],
-                    );
-                } else {
-                    acc.overall_sum[s] =
-                        kernels::sum_claim_scores(claims, scores.offsets(), scores.values());
-                }
-            }
-        }
-        Some(plan) => {
-            struct AccChunk<'a> {
-                sources: std::ops::Range<usize>,
-                sum: &'a mut [f64],
-                count: &'a mut [usize],
-                attr_sum: &'a mut [f64],
-                attr_count: &'a mut [usize],
-            }
-            let mut chunks = Vec::with_capacity(plan.num_chunks());
-            let mut sum_rest = acc.overall_sum.as_mut_slice();
-            let mut count_rest = acc.overall_count.as_mut_slice();
-            let mut attr_sum_rest: &mut [f64] = if per_attr {
-                acc.attr_sum.as_mut_slice()
-            } else {
-                &mut []
-            };
-            let mut attr_count_rest: &mut [usize] = if per_attr {
-                acc.attr_count.as_mut_slice()
-            } else {
-                &mut []
-            };
-            for r in plan.ranges() {
-                let (sum, rest) = sum_rest.split_at_mut(r.len());
-                sum_rest = rest;
-                let (count, rest) = count_rest.split_at_mut(r.len());
-                count_rest = rest;
-                let attr_len = if per_attr { r.len() * num_attrs } else { 0 };
-                let (attr_sum, rest) = attr_sum_rest.split_at_mut(attr_len);
-                attr_sum_rest = rest;
-                let (attr_count, rest) = attr_count_rest.split_at_mut(attr_len);
-                attr_count_rest = rest;
-                chunks.push(AccChunk {
-                    sources: r,
-                    sum,
-                    count,
-                    attr_sum,
-                    attr_count,
-                });
-            }
-            chunking::run_chunks(chunks, |chunk| {
-                for (off, s) in chunk.sources.clone().enumerate() {
-                    let claims = problem.claims(s);
-                    chunk.count[off] = claims.len();
-                    if per_attr {
-                        let row = off * num_attrs..(off + 1) * num_attrs;
-                        chunk.sum[off] = kernels::sum_claim_scores_per_attr(
-                            claims,
-                            scores.offsets(),
-                            scores.values(),
-                            problem.item_attrs_flat(),
-                            &mut chunk.attr_sum[row.clone()],
-                            &mut chunk.attr_count[row],
-                        );
-                    } else {
-                        chunk.sum[off] =
-                            kernels::sum_claim_scores(claims, scores.offsets(), scores.values());
-                    }
-                }
-            });
+    for (s, claims) in problem.claims_by_source().enumerate() {
+        acc.overall_count[s] = claims.len();
+        if per_attr {
+            let row = s * num_attrs..(s + 1) * num_attrs;
+            acc.overall_sum[s] = kernels::sum_claim_scores_per_attr(
+                claims,
+                scores.offsets(),
+                scores.values(),
+                problem.item_attrs_flat(),
+                &mut acc.attr_sum[row.clone()],
+                &mut acc.attr_count[row],
+            );
+        } else {
+            acc.overall_sum[s] =
+                kernels::sum_claim_scores(claims, scores.offsets(), scores.values());
         }
     }
     for s in 0..problem.num_sources() {

@@ -43,7 +43,6 @@
 //!   provider's discounted vote reads its score instead of taking a
 //!   logarithm; a POPACCU base also subtracts its per-run `ln(pop)` plane.
 
-use crate::chunking::{self, ChunkPlan, ChunkPlans};
 use crate::copymatrix::CopyMatrix;
 use crate::methods::bayesian::{clamp_trust, softmax_into, update_trust_from_scores, Accu};
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
@@ -96,13 +95,6 @@ impl FusionMethod for AccuCopy {
         let co_claims = known
             .is_none()
             .then(|| CoClaims::build(problem, self.min_shared_items));
-        let plans = ChunkPlans::from_options(&opts, problem);
-        let (item_plan, source_plan) = ChunkPlans::split(&plans);
-        // Source axis plan for the per-round rescoring walk.
-        let walk_plan = match (&plans, &co_claims) {
-            (Some(_), Some(co)) => Some(co.walk_plan(problem, opts.intra_day_chunks)),
-            _ => None,
-        };
         // Reusable scratch: the probability plane, the per-item vote buffers,
         // the accuracy-ordered provider list, the per-source error rates, the
         // detected-copying matrix, and the trust accumulators.
@@ -138,16 +130,8 @@ impl FusionMethod for AccuCopy {
         // Start from the dominant-value selection for the first copy-detection
         // pass.
         let mut selection = vec![0usize; problem.num_items()];
-        // Per-item (votes, adjusted, ordered_providers, rank bits) scratch.
-        // The sequential path keeps reusing the warm FusionScratch buffers
-        // (taken here, restored below); chunked runs allocate fresh buffers
-        // per chunk.
-        let mut item_scratch = (
-            std::mem::take(votes),
-            std::mem::take(adjusted),
-            std::mem::take(ordered_providers),
-            Vec::new(),
-        );
+        // Rank bits of the candidate whose providers are being ordered.
+        let mut ranked = vec![0u64; num_sources.div_ceil(64)];
 
         let mut rounds = 0usize;
         for _ in 0..effective_rounds(&opts) {
@@ -162,8 +146,6 @@ impl FusionMethod for AccuCopy {
                         self.prior,
                         error_rates,
                         detected,
-                        source_plan,
-                        walk_plan.as_ref(),
                     );
                     detected
                 }
@@ -194,80 +176,62 @@ impl FusionMethod for AccuCopy {
                 }
             }
             self.base.fill_score_table(problem, &trust, score_table);
-            let (table, pop_ln) = (&score_table[..], pop_ln.as_deref());
-            let factors_r = &factors;
-            let (orders_r, ranks_r) = (&orders, &ranks);
-            chunking::for_each_item(
-                probabilities,
-                item_plan,
-                &mut item_scratch,
-                Default::default,
-                |i, out, scratch: &mut (Vec<f64>, Vec<f64>, Vec<u32>, Vec<u64>)| {
-                    let (votes, adjusted, ordered_providers, ranked) = scratch;
-                    let item = problem.item(i);
-                    let num_candidates = item.num_candidates();
-                    let attr = item.attr();
-                    votes.clear();
-                    votes.resize(num_candidates, 0.0);
-                    adjusted.clear();
-                    adjusted.resize(num_candidates, 0.0);
-                    // Independence-discounted vote: order providers by
-                    // accuracy and discount each by the probability that it
-                    // copied from an earlier provider of the same value.
-                    let order = &orders_r[attr * num_sources..(attr + 1) * num_sources];
-                    let rank = &ranks_r[attr * num_sources..(attr + 1) * num_sources];
-                    ranked.resize(num_sources.div_ceil(64), 0);
-                    let first = item.cand_range().start;
-                    for (c, cand) in item.candidates().enumerate() {
-                        let pop = pop_ln.map_or(0.0, |pop_ln| pop_ln[first + c]);
-                        // Set each provider's rank bit, then list the set
-                        // bits in increasing rank (clearing them again).
-                        for &s in cand.providers() {
-                            let r = rank[s as usize] as usize;
-                            ranked[r / 64] |= 1 << (r % 64);
-                        }
-                        ordered_providers.clear();
-                        for (w, word) in ranked.iter_mut().enumerate() {
-                            while *word != 0 {
-                                let r = w * 64 + word.trailing_zeros() as usize;
-                                ordered_providers.push(order[r]);
-                                *word &= *word - 1;
-                            }
-                        }
-                        let mut vote = 0.0;
-                        for (k, &s) in ordered_providers.iter().enumerate() {
-                            let row = &factors_r[s as usize * num_sources..][..num_sources];
-                            let mut independent = 1.0;
-                            for &earlier in &ordered_providers[..k] {
-                                independent *= row[earlier as usize];
-                            }
-                            vote += independent * (table[s as usize * num_attrs + attr] - pop);
-                        }
-                        votes[c] = vote;
+            for i in 0..probabilities.num_items() {
+                let item = problem.item(i);
+                let num_candidates = item.num_candidates();
+                let attr = item.attr();
+                votes.clear();
+                votes.resize(num_candidates, 0.0);
+                adjusted.clear();
+                adjusted.resize(num_candidates, 0.0);
+                // Independence-discounted vote: order providers by accuracy
+                // and discount each by the probability that it copied from an
+                // earlier provider of the same value.
+                let order = &orders[attr * num_sources..(attr + 1) * num_sources];
+                let rank = &ranks[attr * num_sources..(attr + 1) * num_sources];
+                let first = item.cand_range().start;
+                for (c, cand) in item.candidates().enumerate() {
+                    let pop = pop_ln.as_ref().map_or(0.0, |pop_ln| pop_ln[first + c]);
+                    // Set each provider's rank bit, then list the set bits in
+                    // increasing rank (clearing them again).
+                    for &s in cand.providers() {
+                        let r = rank[s as usize] as usize;
+                        ranked[r / 64] |= 1 << (r % 64);
                     }
-                    for (c, cand) in item.candidates().enumerate() {
-                        let mut v = votes[c];
-                        for &(j, sim) in cand.similar() {
-                            v += self.base.rho * sim * votes[j as usize];
+                    ordered_providers.clear();
+                    for (w, word) in ranked.iter_mut().enumerate() {
+                        while *word != 0 {
+                            let r = w * 64 + word.trailing_zeros() as usize;
+                            ordered_providers.push(order[r]);
+                            *word &= *word - 1;
                         }
-                        for &j in cand.coarse_supporters() {
-                            v += self.base.format_weight * votes[j as usize];
-                        }
-                        adjusted[c] = v;
                     }
-                    softmax_into(&adjusted[..num_candidates], out);
-                },
-            );
-            chunking::argmax_plane_into(probabilities, item_plan, &mut selection);
+                    let mut vote = 0.0;
+                    for (k, &s) in ordered_providers.iter().enumerate() {
+                        let row = &factors[s as usize * num_sources..][..num_sources];
+                        let mut independent = 1.0;
+                        for &earlier in &ordered_providers[..k] {
+                            independent *= row[earlier as usize];
+                        }
+                        vote += independent * (score_table[s as usize * num_attrs + attr] - pop);
+                    }
+                    votes[c] = vote;
+                }
+                for (c, cand) in item.candidates().enumerate() {
+                    let mut v = votes[c];
+                    for &(j, sim) in cand.similar() {
+                        v += self.base.rho * sim * votes[j as usize];
+                    }
+                    for &j in cand.coarse_supporters() {
+                        v += self.base.format_weight * votes[j as usize];
+                    }
+                    adjusted[c] = v;
+                }
+                softmax_into(&adjusted[..num_candidates], probabilities.item_mut(i));
+            }
+            probabilities.argmax_into(&mut selection);
             let mut new_trust = trust.clone();
-            update_trust_from_scores(
-                problem,
-                probabilities,
-                &opts,
-                &mut new_trust,
-                trust_acc,
-                source_plan,
-            );
+            update_trust_from_scores(problem, probabilities, &opts, &mut new_trust, trust_acc);
             clamp_trust(&mut new_trust, 0.01, 0.99);
             let change = new_trust.max_change(&trust);
             trust = new_trust;
@@ -275,9 +239,6 @@ impl FusionMethod for AccuCopy {
                 break;
             }
         }
-        *votes = std::mem::take(&mut item_scratch.0);
-        *adjusted = std::mem::take(&mut item_scratch.1);
-        *ordered_providers = std::mem::take(&mut item_scratch.2);
         FusionResult::from_selection(&self.name(), problem, selection, trust, rounds, start)
     }
 }
@@ -368,29 +329,12 @@ impl CoClaims {
         self.num_entries
     }
 
-    /// A plan of `num_chunks` source ranges for [`rescore`](Self::rescore),
-    /// balanced by the work of walking each source against its later
-    /// sources.
-    pub fn walk_plan(&self, problem: &FusionProblem, num_chunks: usize) -> ChunkPlan {
-        let weights: Vec<usize> = (0..self.num_sources)
-            .map(|a| problem.claims(a).len() * (self.num_sources - a - 1))
-            .collect();
-        ChunkPlan::balanced_by_weights(&weights, num_chunks)
-    }
-
     /// Score every indexed pair against `selection`, writing posterior copy
     /// probabilities into `out`. The matrix is cleared first, so pairs below
     /// the sharing floor read as `0.0` even if `out` held older scores.
     ///
     /// `error_rates` is caller-provided scratch of length `num_sources`,
     /// reused across rounds.
-    ///
-    /// `source_plan` chunks the per-source error-rate pass and `walk_plan`
-    /// (from [`walk_plan`](Self::walk_plan)) chunks the log-likelihood walk
-    /// by its first source; both phases are independent per slot, so any
-    /// plan yields bit-identical scores (each pair still sums its own shared
-    /// items in item order). Pass `None` for the sequential walk.
-    #[allow(clippy::too_many_arguments)]
     pub fn rescore(
         &self,
         problem: &FusionProblem,
@@ -399,23 +343,20 @@ impl CoClaims {
         prior: f64,
         error_rates: &mut [f64],
         out: &mut CopyMatrix,
-        source_plan: Option<&ChunkPlan>,
-        walk_plan: Option<&ChunkPlan>,
     ) {
         out.clear();
         // Error rate of each source w.r.t. the current selection.
-        chunking::for_each_slot(error_rates, source_plan, |s, rate| {
-            let claims = problem.claims(s);
-            if claims.is_empty() {
-                *rate = 0.2;
-                return;
-            }
-            let wrong = claims
-                .iter()
-                .filter(|&&(i, c)| selection.get(i as usize).copied().unwrap_or(0) != c as usize)
-                .count();
-            *rate = (wrong as f64 / claims.len() as f64).clamp(0.01, 0.99);
-        });
+        for (rate, claims) in error_rates.iter_mut().zip(problem.claims_by_source()) {
+            *rate = if claims.is_empty() {
+                0.2
+            } else {
+                let wrong = claims
+                    .iter()
+                    .filter(|&&(i, c)| selection.get(i as usize).copied().unwrap_or(0) != c as usize)
+                    .count();
+                (wrong as f64 / claims.len() as f64).clamp(0.01, 0.99)
+            };
+        }
 
         let scorer = PairScorer {
             co: self,
@@ -428,40 +369,12 @@ impl CoClaims {
                 (prior / (1.0 - prior)).ln()
             },
         };
-        match walk_plan {
-            None => {
-                let mut walk = PairWalk::default();
-                for a in 0..self.num_sources {
-                    scorer.score_source(a, &mut walk, |p, prob| {
-                        let (a, b) = self.pairs[p];
-                        out.set(a as usize, b as usize, prob);
-                    });
-                }
-            }
-            Some(plan) => {
-                // The matrix slots of a source range are scattered across
-                // the triangular layout, so each chunk scores into its slice
-                // of a dense per-pair buffer, scattered sequentially after.
-                let mut probs = vec![0.0; self.pairs.len()];
-                let mut tasks = Vec::with_capacity(plan.num_chunks());
-                let mut rest = probs.as_mut_slice();
-                for sources in plan.ranges() {
-                    let lo = self.first_pair[sources.start] as usize;
-                    let hi = self.first_pair[sources.end] as usize;
-                    let (head, tail) = rest.split_at_mut(hi - lo);
-                    tasks.push((sources, lo, head));
-                    rest = tail;
-                }
-                chunking::run_chunks(tasks, |(sources, lo, slice)| {
-                    let mut walk = PairWalk::default();
-                    for a in sources {
-                        scorer.score_source(a, &mut walk, |p, prob| slice[p - lo] = prob);
-                    }
-                });
-                for (&(a, b), &prob) in self.pairs.iter().zip(&probs) {
-                    out.set(a as usize, b as usize, prob);
-                }
-            }
+        let mut walk = PairWalk::default();
+        for a in 0..self.num_sources {
+            scorer.score_source(a, &mut walk, |p, prob| {
+                let (a, b) = self.pairs[p];
+                out.set(a as usize, b as usize, prob);
+            });
         }
     }
 }
@@ -589,8 +502,6 @@ pub fn detect_copying(
         prior,
         &mut error_rates,
         &mut out,
-        None,
-        None,
     );
     out
 }

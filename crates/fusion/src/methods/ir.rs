@@ -36,7 +36,6 @@
 //! candidate index, so the problem's layout check requires `2 ×
 //! num_candidates` to fit a `u32`.
 
-use crate::chunking::{self, ChunkPlans};
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
 use crate::types::{rescale_to_unit, FusionOptions, FusionResult, FusionScratch, TrustEstimate};
@@ -143,8 +142,6 @@ impl FusionMethod for Cosine {
     ) -> FusionResult {
         let start = Instant::now();
         let mut trust = initial_trust(problem, options, 0.8);
-        let plans = ChunkPlans::from_options(options, problem);
-        let (item_plan, source_plan) = ChunkPlans::split(&plans);
         let slots = ClaimSlots::build(problem);
         let estimates = &mut scratch.plane;
         estimates.reset_for(problem);
@@ -157,34 +154,27 @@ impl FusionMethod for Cosine {
             rounds += 1;
             // Truth estimate per candidate in [-1, 1]: supporters minus
             // opponents, normalized by the total trust on the item.
-            let trust_r = &trust;
-            chunking::for_each_item(
-                estimates,
-                item_plan,
-                &mut (),
-                || (),
-                |i, out, _| {
-                    let item = problem.item(i);
-                    let total: f64 = item
+            for i in 0..estimates.num_items() {
+                let item = problem.item(i);
+                let total: f64 = item
+                    .providers()
+                    .iter()
+                    .map(|&s| trust.overall[s as usize])
+                    .sum();
+                for (out, cand) in estimates.item_mut(i).iter_mut().zip(item.candidates()) {
+                    let support: f64 = cand
                         .providers()
                         .iter()
-                        .map(|&s| trust_r.overall[s as usize])
+                        .map(|&s| trust.overall[s as usize])
                         .sum();
-                    for (c, cand) in item.candidates().enumerate() {
-                        let support: f64 = cand
-                            .providers()
-                            .iter()
-                            .map(|&s| trust_r.overall[s as usize])
-                            .sum();
-                        let oppose = total - support;
-                        out[c] = if total > 0.0 {
-                            (support - oppose) / total
-                        } else {
-                            0.0
-                        };
-                    }
-                },
-            );
+                    let oppose = total - support;
+                    *out = if total > 0.0 {
+                        (support - oppose) / total
+                    } else {
+                        0.0
+                    };
+                }
+            }
             // Cosine similarity between each source's ±1 vector and the
             // estimates at the positions the source covers.
             for ((pair, sq), &e) in signed
@@ -198,21 +188,20 @@ impl FusionMethod for Cosine {
                 *sq = e * e;
             }
             let mut new_trust = vec![0.0; problem.num_sources()];
-            let (signed_r, squared_r, slots_r) = (&signed, &squared, &slots);
-            chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+            for (s, slot) in new_trust.iter_mut().enumerate() {
                 let mut dot = 0.0_f64;
                 let mut claim_norm = 0.0_f64;
                 let mut est_norm = 0.0_f64;
-                for &t in slots_r.terms(s) {
-                    dot += signed_r[t as usize];
+                for &t in slots.terms(s) {
+                    dot += signed[t as usize];
                     claim_norm += 1.0;
-                    est_norm += squared_r[t as usize >> 1];
+                    est_norm += squared[t as usize >> 1];
                 }
                 let denom = claim_norm.sqrt() * est_norm.sqrt();
                 let cosine = if denom > 1e-12 { dot / denom } else { 0.0 };
                 *slot =
-                    self.damping * trust_r.overall[s] + (1.0 - self.damping) * cosine.clamp(0.0, 1.0);
-            });
+                    self.damping * trust.overall[s] + (1.0 - self.damping) * cosine.clamp(0.0, 1.0);
+            }
             let new_estimate = TrustEstimate {
                 overall: new_trust,
                 per_attr: None,
@@ -224,7 +213,7 @@ impl FusionMethod for Cosine {
             }
         }
         let mut selection = Vec::new();
-        chunking::argmax_plane_into(estimates, item_plan, &mut selection);
+        estimates.argmax_into(&mut selection);
         FusionResult::from_selection(&self.name(), problem, selection, trust, rounds, start)
     }
 }
@@ -240,8 +229,6 @@ fn run_estimates(
 ) -> FusionResult {
     let start = Instant::now();
     let mut trust = initial_trust(problem, options, 0.8);
-    let plans = ChunkPlans::from_options(options, problem);
-    let (item_plan, source_plan) = ChunkPlans::split(&plans);
     let slots = ClaimSlots::build(problem);
     let FusionScratch {
         plane: votes,
@@ -255,58 +242,46 @@ fn run_estimates(
     // Per global candidate `k`: its vote at `2k` (what a claim on it earns)
     // and the complement at `2k + 1` (what a claim on a competitor earns).
     let mut earned = vec![0.0; 2 * problem.num_candidates()];
+    let mut dampened: Vec<[f64; 2]> = Vec::new();
     let mut rounds = 0usize;
     for _ in 0..effective_rounds(options) {
         rounds += 1;
         // Complement-aware vote: providers contribute their (difficulty-
         // dampened) trust, non-providers contribute their distrust.
-        let trust_r = &trust;
-        let hardness_r: &[f64] = hardness;
-        let own: &[u32] = &slots.own;
-        chunking::for_each_item(
-            votes,
-            item_plan,
-            &mut Vec::new(),
-            Vec::new,
-            |i, out, dampened: &mut Vec<[f64; 2]>| {
-                let item = problem.item(i);
-                let dampen = |t: f64| -> f64 {
-                    if difficulty {
-                        t * (1.0 - hardness_r[i]) + 0.5 * hardness_r[i]
-                    } else {
-                        t
-                    }
-                };
-                dampened.clear();
-                dampened.extend(item.providers().iter().map(|&s| {
-                    let t = dampen(trust_r.overall[s as usize]);
-                    [t, 1.0 - t]
-                }));
-                // Each candidate sums over the item's providers in order.
-                let owned = &own[item.provider_range()];
-                let n = item.num_providers().max(1) as f64;
-                for (c, vote) in out.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (d, &o) in dampened.iter().zip(owned) {
-                        acc += d[usize::from(o != c as u32)];
-                    }
-                    *vote = acc / n;
+        for i in 0..votes.num_items() {
+            let item = problem.item(i);
+            let dampen = |t: f64| -> f64 {
+                if difficulty {
+                    t * (1.0 - hardness[i]) + 0.5 * hardness[i]
+                } else {
+                    t
                 }
-            },
-        );
+            };
+            dampened.clear();
+            dampened.extend(item.providers().iter().map(|&s| {
+                let t = dampen(trust.overall[s as usize]);
+                [t, 1.0 - t]
+            }));
+            // Each candidate sums over the item's providers in order.
+            let owned = &slots.own[item.provider_range()];
+            let n = item.num_providers().max(1) as f64;
+            for (c, vote) in votes.item_mut(i).iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (d, &o) in dampened.iter().zip(owned) {
+                    acc += d[usize::from(o != c as u32)];
+                }
+                *vote = acc / n;
+            }
+        }
         // Affine rescaling of all votes to [0, 1] — the plane is already the
-        // flat item-major vector the old code materialized each round; the
-        // chunked variant splits into the exact global min/max reduction and
-        // a per-chunk elementwise pass.
-        chunking::rescale_plane_to_unit(votes, item_plan);
+        // flat item-major vector the old code materialized each round.
+        rescale_to_unit(votes.values_mut());
         // Difficulty update: items whose best value is uncertain are hard.
-        // Per item, so the item plan chunks it directly.
         if difficulty {
-            let votes_r: &_ = votes;
-            chunking::for_each_slot(hardness, item_plan, |i, h| {
-                let best = votes_r.item(i).iter().cloned().fold(0.0, f64::max);
+            for (i, h) in hardness.iter_mut().enumerate() {
+                let best = votes.item(i).iter().cloned().fold(0.0, f64::max);
                 *h = (1.0 - best).clamp(0.0, 1.0);
-            });
+            }
         }
         // Trust update: average over claimed values' votes and the complement
         // of the competing values' votes; then affine rescaling.
@@ -315,19 +290,18 @@ fn run_estimates(
             pair[1] = 1.0 - v;
         }
         let mut new_trust = vec![0.0; problem.num_sources()];
-        let (earned_r, slots_r) = (&earned, &slots);
-        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
-            let terms = slots_r.terms(s);
+        for (s, slot) in new_trust.iter_mut().enumerate() {
+            let terms = slots.terms(s);
             let mut acc = 0.0;
             for &t in terms {
-                acc += earned_r[t as usize];
+                acc += earned[t as usize];
             }
             *slot = if terms.is_empty() {
                 0.5
             } else {
                 acc / terms.len() as f64
             };
-        });
+        }
         rescale_to_unit(&mut new_trust);
         let new_estimate = TrustEstimate {
             overall: new_trust,
@@ -340,7 +314,7 @@ fn run_estimates(
         }
     }
     let mut selection = Vec::new();
-    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    votes.argmax_into(&mut selection);
     FusionResult::from_selection(name, problem, selection, trust, rounds, start)
 }
 
@@ -469,36 +443,33 @@ mod tests {
             FusionOptions::standard(),
             FusionOptions::standard().with_input_trust(input),
         ] {
-            for chunks in [1, 3] {
-                let opts = opts.clone().with_intra_day_chunks(chunks);
-                let context = |name: &str| {
-                    format!("{name} (input {}, chunks {chunks})", opts.input_trust.is_some())
-                };
-                let mut scratch = FusionScratch::new();
-                let two = TwoEstimates.run(&problem, &opts);
-                assert_same_bits(
-                    &two,
-                    &reference_run_estimates("2-Estimates", false, &problem, &opts, &mut scratch),
-                    &context("2-Estimates"),
-                );
-                let three = ThreeEstimates.run(&problem, &opts);
-                assert_same_bits(
-                    &three,
-                    &reference_run_estimates("3-Estimates", true, &problem, &opts, &mut scratch),
-                    &context("3-Estimates"),
-                );
-                let cosine = Cosine::default();
-                assert_same_bits(
-                    &cosine.run(&problem, &opts),
-                    &reference_run_cosine(&cosine, &problem, &opts, &mut scratch),
-                    &context("Cosine"),
-                );
-                // The idle source's ESTIMATES slot takes the count-0 branch
-                // (0.5 before the rescale), so it stays a finite unit trust.
-                for result in [&two, &three] {
-                    let t = result.trust.overall[idle];
-                    assert!((0.0..=1.0).contains(&t), "{}: idle trust {t}", context(&result.method));
-                }
+            let context = |name: &str| {
+                format!("{name} (input {})", opts.input_trust.is_some())
+            };
+            let mut scratch = FusionScratch::new();
+            let two = TwoEstimates.run(&problem, &opts);
+            assert_same_bits(
+                &two,
+                &reference_run_estimates("2-Estimates", false, &problem, &opts, &mut scratch),
+                &context("2-Estimates"),
+            );
+            let three = ThreeEstimates.run(&problem, &opts);
+            assert_same_bits(
+                &three,
+                &reference_run_estimates("3-Estimates", true, &problem, &opts, &mut scratch),
+                &context("3-Estimates"),
+            );
+            let cosine = Cosine::default();
+            assert_same_bits(
+                &cosine.run(&problem, &opts),
+                &reference_run_cosine(&cosine, &problem, &opts, &mut scratch),
+                &context("Cosine"),
+            );
+            // The idle source's ESTIMATES slot takes the count-0 branch
+            // (0.5 before the rescale), so it stays a finite unit trust.
+            for result in [&two, &three] {
+                let t = result.trust.overall[idle];
+                assert!((0.0..=1.0).contains(&t), "{}: idle trust {t}", context(&result.method));
             }
         }
     }

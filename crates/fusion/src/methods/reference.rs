@@ -349,7 +349,7 @@ fn reference_run_accu(
             softmax_into(&adjusted[..num_candidates], probabilities.item_mut(i));
         }
         let mut new_trust = trust.clone();
-        update_trust_from_scores(problem, probabilities, &opts, &mut new_trust, trust_acc, None);
+        update_trust_from_scores(problem, probabilities, &opts, &mut new_trust, trust_acc);
         clamp_trust(&mut new_trust, 0.01, 0.99);
         let change = new_trust.max_change(&trust);
         trust = new_trust;
@@ -404,7 +404,7 @@ fn reference_run_truthfinder(
             }
         }
         let mut new_trust = trust.clone();
-        update_trust_from_scores(problem, confidence, options, &mut new_trust, trust_acc, None);
+        update_trust_from_scores(problem, confidence, options, &mut new_trust, trust_acc);
         let change = new_trust.max_change(&trust);
         trust = new_trust;
         if change < options.epsilon {
@@ -771,23 +771,16 @@ mod tests {
         ]
     }
 
-    /// Standard, per-attribute, and input-trust options, each sequential
-    /// and split into three intra-day chunks.
-    fn option_grid(problem: &FusionProblem) -> Vec<FusionOptions> {
+    /// Standard, per-attribute, and input-trust options.
+    fn option_grid(problem: &FusionProblem) -> [FusionOptions; 3] {
         let input: Vec<f64> = (0..problem.num_sources())
             .map(|s| 0.3 + 0.6 * (s % 7) as f64 / 6.0)
             .collect();
-        let mut grid = Vec::new();
-        for base in [
+        [
             FusionOptions::standard(),
             FusionOptions::standard().with_per_attribute_trust(),
             FusionOptions::standard().with_input_trust(input),
-        ] {
-            for chunks in [1, 3] {
-                grid.push(base.clone().with_intra_day_chunks(chunks));
-            }
-        }
-        grid
+        ]
     }
 
     #[test]
@@ -796,10 +789,9 @@ mod tests {
             for opts in option_grid(&problem) {
                 let context = |name: &str| {
                     format!(
-                        "{name} on {world} (per_attr {}, input {}, chunks {})",
+                        "{name} on {world} (per_attr {}, input {})",
                         opts.per_attribute_trust,
-                        opts.input_trust.is_some(),
-                        opts.intra_day_chunks
+                        opts.input_trust.is_some()
                     )
                 };
                 let mut scratch = FusionScratch::new();

@@ -4,7 +4,6 @@
 //! row of Table 7; its precision equals the dominant-value precision studied
 //! in Section 3.2 (Figure 7).
 
-use crate::chunking::{self, ChunkPlans};
 use crate::methods::FusionMethod;
 use crate::problem::FusionProblem;
 use crate::types::{FusionOptions, FusionResult, FusionScratch, TrustEstimate};
@@ -24,30 +23,27 @@ impl FusionMethod for Vote {
     fn run_with_scratch(
         &self,
         problem: &FusionProblem,
-        options: &FusionOptions,
+        _options: &FusionOptions,
         _scratch: &mut FusionScratch,
     ) -> FusionResult {
         let start = Instant::now();
-        let plans = ChunkPlans::from_options(options, problem);
-        let (_item_plan, source_plan) = ChunkPlans::split(&plans);
         // Candidates are ordered by descending support, so the dominant value
         // is always candidate 0.
         let selection = vec![0usize; problem.num_items()];
 
         // VOTE does not estimate trust; report each source's agreement with
         // the dominant values, which is the natural a-posteriori reading.
-        // Each source owns its slot, so the source plan chunks it directly
-        // (counts are integers — bit-identity is trivial).
-        let mut overall = vec![0.0f64; problem.num_sources()];
-        chunking::for_each_slot(&mut overall, source_plan, |s, slot| {
-            let claims = problem.claims(s);
-            let agree = claims.iter().filter(|&&(_item, cand)| cand == 0).count();
-            *slot = if claims.is_empty() {
-                0.0
-            } else {
-                agree as f64 / claims.len() as f64
-            };
-        });
+        let overall = problem
+            .claims_by_source()
+            .map(|claims| {
+                let agree = claims.iter().filter(|&&(_item, cand)| cand == 0).count();
+                if claims.is_empty() {
+                    0.0
+                } else {
+                    agree as f64 / claims.len() as f64
+                }
+            })
+            .collect();
 
         FusionResult::from_selection(
             &self.name(),

@@ -13,7 +13,6 @@
 //! drifts far away from sampled accuracies, reproducing the large trust
 //! deviation the paper reports for it).
 
-use crate::chunking::{self, ChunkPlans};
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
 use crate::types::{normalize_by_max, FusionOptions, FusionResult, FusionScratch, TrustEstimate};
@@ -71,27 +70,25 @@ impl FusionMethod for Hub {
         let start = Instant::now();
         let mut trust = initial_trust(problem, options, 1.0);
         let max_rounds = effective_rounds(options);
-        let plans = ChunkPlans::from_options(options, problem);
-        let (item_plan, source_plan) = ChunkPlans::split(&plans);
         let votes = &mut scratch.plane;
         // Fused refill-accumulate: the plane is shaped for `problem` and
         // filled with the first round's votes in one pass (no intermediate
         // zero-fill); subsequent rounds re-accumulate at the loop tail only
         // when another iteration actually runs.
-        votes.refill_accumulate_chunked(problem, &trust, item_plan);
+        votes.refill_accumulate(problem, &trust);
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            chunking::normalize_plane_by_max(votes, item_plan);
-            let mut new_trust = vec![0.0; problem.num_sources()];
-            let votes_r: &_ = votes;
-            chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
-                *slot = problem
-                    .claims(s)
-                    .iter()
-                    .map(|&(i, c)| votes_r.get(i as usize, c as usize))
-                    .sum();
-            });
+            normalize_by_max(votes.values_mut());
+            let mut new_trust: Vec<f64> = problem
+                .claims_by_source()
+                .map(|claims| {
+                    claims
+                        .iter()
+                        .map(|&(i, c)| votes.get(i as usize, c as usize))
+                        .sum()
+                })
+                .collect();
             normalize_by_max(&mut new_trust);
             let new_estimate = TrustEstimate {
                 overall: new_trust,
@@ -102,10 +99,10 @@ impl FusionMethod for Hub {
             if change < options.epsilon || rounds >= max_rounds {
                 break;
             }
-            votes.accumulate_weighted_votes_chunked(problem, &trust, item_plan);
+            votes.accumulate_weighted_votes(problem, &trust);
         }
         let mut selection = Vec::new();
-        chunking::argmax_plane_into(votes, item_plan, &mut selection);
+        votes.argmax_into(&mut selection);
         FusionResult::from_selection(&self.name(), problem, selection, trust, rounds, start)
     }
 }
@@ -124,29 +121,25 @@ impl FusionMethod for AvgLog {
         let start = Instant::now();
         let mut trust = initial_trust(problem, options, 1.0);
         let max_rounds = effective_rounds(options);
-        let plans = ChunkPlans::from_options(options, problem);
-        let (item_plan, source_plan) = ChunkPlans::split(&plans);
         let votes = &mut scratch.plane;
         // Same fused refill-accumulate structure as HUB above.
-        votes.refill_accumulate_chunked(problem, &trust, item_plan);
+        votes.refill_accumulate(problem, &trust);
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            chunking::normalize_plane_by_max(votes, item_plan);
+            normalize_by_max(votes.values_mut());
             let mut new_trust = vec![0.0; problem.num_sources()];
-            let votes_r: &_ = votes;
-            chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
-                let claims = problem.claims(s);
+            for (slot, claims) in new_trust.iter_mut().zip(problem.claims_by_source()) {
                 if claims.is_empty() {
-                    return;
+                    continue;
                 }
                 let avg: f64 = claims
                     .iter()
-                    .map(|&(i, c)| votes_r.get(i as usize, c as usize))
+                    .map(|&(i, c)| votes.get(i as usize, c as usize))
                     .sum::<f64>()
                     / claims.len() as f64;
                 *slot = (1.0 + claims.len() as f64).ln() * avg;
-            });
+            }
             normalize_by_max(&mut new_trust);
             let new_estimate = TrustEstimate {
                 overall: new_trust,
@@ -157,10 +150,10 @@ impl FusionMethod for AvgLog {
             if change < options.epsilon || rounds >= max_rounds {
                 break;
             }
-            votes.accumulate_weighted_votes_chunked(problem, &trust, item_plan);
+            votes.accumulate_weighted_votes(problem, &trust);
         }
         let mut selection = Vec::new();
-        chunking::argmax_plane_into(votes, item_plan, &mut selection);
+        votes.argmax_into(&mut selection);
         FusionResult::from_selection(&self.name(), problem, selection, trust, rounds, start)
     }
 }
@@ -176,8 +169,6 @@ fn run_invest(
 ) -> FusionResult {
     let start = Instant::now();
     let mut trust = initial_trust(problem, options, 1.0);
-    let plans = ChunkPlans::from_options(options, problem);
-    let (item_plan, source_plan) = ChunkPlans::split(&plans);
     let cand_offsets = problem.item_cand_offsets();
     // Reusable buffers: the vote plane, the per-source investment, the
     // per-item non-linear-growth scratch, and the per-candidate total
@@ -204,74 +195,57 @@ fn run_invest(
                 trust.overall[s] / claims.len() as f64
             };
         }
-        let invested_r: &[f64] = invested;
-        // Accumulated investment per candidate (per item, so any item-range
-        // chunking is embarrassingly parallel).
-        chunking::for_each_item(
-            votes,
-            item_plan,
-            &mut (),
-            || (),
-            |i, out, _| {
-                let item = problem.item(i);
-                for (slot, cand) in out.iter_mut().zip(item.candidates()) {
-                    *slot = cand
-                        .providers()
-                        .iter()
-                        .map(|&s| invested_r[s as usize])
-                        .sum::<f64>();
-                }
-            },
-        );
+        // Accumulated investment per candidate.
+        for i in 0..votes.num_items() {
+            let item = problem.item(i);
+            for (slot, cand) in votes.item_mut(i).iter_mut().zip(item.candidates()) {
+                *slot = cand
+                    .providers()
+                    .iter()
+                    .map(|&s| invested[s as usize])
+                    .sum::<f64>();
+            }
+        }
         // The pay-back below divides by exactly these sums (same providers,
         // same order), so keep them before growth overwrites the plane.
         total_investment.clear();
         total_investment.extend_from_slice(votes.values());
         // Non-linear growth, optionally rescaled per item so the votes sum to
-        // the total investment on the item. The `total` / `grown_total` sums
-        // are *per item*, so this phase is also embarrassingly parallel; the
-        // chunked path gets a fresh growth buffer per chunk.
-        chunking::for_each_item(
-            votes,
-            item_plan,
-            grown,
-            Vec::new,
-            |_, item_votes, grown: &mut Vec<f64>| {
-                let total: f64 = item_votes.iter().sum();
-                grown.clear();
-                grown.resize(item_votes.len(), 0.0);
-                for (g, h) in grown.iter_mut().zip(item_votes.iter()) {
-                    *g = h.powf(growth);
-                }
-                let grown_total: f64 = grown.iter().sum();
-                for (slot, g) in item_votes.iter_mut().zip(grown.iter()) {
-                    *slot = if pooled {
-                        if grown_total > 0.0 {
-                            g / grown_total * total
-                        } else {
-                            0.0
-                        }
+        // the total investment on the item.
+        for i in 0..votes.num_items() {
+            let item_votes = votes.item_mut(i);
+            let total: f64 = item_votes.iter().sum();
+            grown.clear();
+            grown.resize(item_votes.len(), 0.0);
+            for (g, h) in grown.iter_mut().zip(item_votes.iter()) {
+                *g = h.powf(growth);
+            }
+            let grown_total: f64 = grown.iter().sum();
+            for (slot, g) in item_votes.iter_mut().zip(grown.iter()) {
+                *slot = if pooled {
+                    if grown_total > 0.0 {
+                        g / grown_total * total
                     } else {
-                        *g
-                    };
-                }
-            },
-        );
+                        0.0
+                    }
+                } else {
+                    *g
+                };
+            }
+        }
 
         // Pay the votes back to the investors, proportionally to their share
-        // of the investment. Each source's claim-order sum lands in its own
-        // slot, so the source axis chunks without re-association.
+        // of the investment, each source summing its claims in claim order.
         let mut new_trust = vec![0.0; problem.num_sources()];
-        let votes_r: &[f64] = votes.values();
-        let total_r: &[f64] = total_investment;
-        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+        let grown_votes = votes.values();
+        for (s, slot) in new_trust.iter_mut().enumerate() {
             for &(i, c) in problem.claims(s) {
                 let g = cand_offsets[i as usize] as usize + c as usize;
-                if total_r[g] > 0.0 {
-                    *slot += votes_r[g] * invested_r[s] / total_r[g];
+                if total_investment[g] > 0.0 {
+                    *slot += grown_votes[g] * invested[s] / total_investment[g];
                 }
             }
-        });
+        }
         if !pooled {
             normalize_by_max(&mut new_trust);
         }
@@ -286,7 +260,7 @@ fn run_invest(
         }
     }
     let mut selection = Vec::new();
-    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    votes.argmax_into(&mut selection);
     FusionResult::from_selection(name, problem, selection, trust, rounds, start)
 }
 

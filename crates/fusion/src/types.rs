@@ -26,11 +26,6 @@ pub struct FusionOptions {
     /// copy-aware methods instead of running detection (the paper's
     /// "ignore copiers of Table 5" oracle experiments).
     pub known_copy_probabilities: Option<CopyMatrix>,
-    /// Number of intra-snapshot chunks the per-round walks split into
-    /// (see [`crate::chunking`]): `0` or `1` keeps every method on the
-    /// sequential path; `n > 1` cuts the candidate/item axis into `n`
-    /// weight-balanced ranges run on rayon, bit-identical to sequential.
-    pub intra_day_chunks: usize,
 }
 
 impl FusionOptions {
@@ -42,7 +37,6 @@ impl FusionOptions {
             input_trust: None,
             per_attribute_trust: false,
             known_copy_probabilities: None,
-            intra_day_chunks: 0,
         }
     }
 
@@ -61,13 +55,6 @@ impl FusionOptions {
     /// Provide known copy probabilities (dense source-index pairs).
     pub fn with_known_copying(mut self, probs: CopyMatrix) -> Self {
         self.known_copy_probabilities = Some(probs);
-        self
-    }
-
-    /// Request intra-snapshot chunking of the per-round walks (see
-    /// [`crate::chunking`]); `0` or `1` means sequential.
-    pub fn with_intra_day_chunks(mut self, chunks: usize) -> Self {
-        self.intra_day_chunks = chunks;
         self
     }
 
@@ -349,75 +336,6 @@ impl VotePlane {
     /// deterministic. Dispatches to the SIMD kernels of [`crate::kernels`].
     pub fn argmax_into(&self, selection: &mut Vec<usize>) {
         kernels::argmax_into(&self.offsets, &self.values, selection);
-    }
-
-    /// Carve the plane into the disjoint mutable per-chunk views of `plan`
-    /// (`split_at_mut` over the flat value plane, shared offset table) —
-    /// the entry point of the intra-snapshot parallel walks of
-    /// [`crate::chunking`].
-    pub fn chunks_mut(&mut self, plan: &crate::chunking::ChunkPlan) -> Vec<crate::chunking::PlaneChunkMut<'_>> {
-        crate::chunking::plane_chunks(&self.offsets, &mut self.values, plan)
-    }
-
-    /// Chunked [`accumulate_weighted_votes`](Self::accumulate_weighted_votes):
-    /// each chunk runs the same scalar kernel over its candidate sub-range
-    /// (the per-candidate provider sums are independent, so any item-range
-    /// split is bit-identical to the sequential pass). With `plan` `None`
-    /// this *is* the sequential pass.
-    pub fn accumulate_weighted_votes_chunked(
-        &mut self,
-        problem: &FusionProblem,
-        trust: &TrustEstimate,
-        plan: Option<&crate::chunking::ChunkPlan>,
-    ) {
-        let Some(plan) = plan else {
-            self.accumulate_weighted_votes(problem, trust);
-            return;
-        };
-        debug_assert_eq!(self.num_items(), problem.num_items());
-        let chunks = crate::chunking::plane_chunks(&self.offsets, &mut self.values, plan);
-        crate::chunking::run_chunks(chunks, |mut chunk| {
-            let cands = chunk.cand_range();
-            let view = match &trust.per_attr {
-                Some(pa) => kernels::TrustView::PerAttr {
-                    values: pa.values(),
-                    num_attrs: pa.num_attrs(),
-                    // The kernel indexes candidate attributes by *local*
-                    // enumerate index, so the chunk's sub-slice lines up.
-                    cand_attrs: &problem.cand_attrs()[cands.clone()],
-                },
-                None => kernels::TrustView::Overall(&trust.overall),
-            };
-            kernels::accumulate_weighted_votes(
-                chunk.values_mut(),
-                // The provider-offset sub-table stays absolute into the full
-                // provider list (the kernel's cursor starts at its first
-                // entry, not at 0).
-                &problem.provider_offsets()[cands.start..cands.end + 1],
-                problem.providers_flat(),
-                &view,
-            );
-        });
-    }
-
-    /// Chunked [`refill_accumulate`](Self::refill_accumulate): sequential
-    /// reshape (offset copy + resize), then the chunked accumulate — the
-    /// kernel overwrites every slot, so the skipped zero-fill is just as
-    /// safe as in the sequential fused pass.
-    pub fn refill_accumulate_chunked(
-        &mut self,
-        problem: &FusionProblem,
-        trust: &TrustEstimate,
-        plan: Option<&crate::chunking::ChunkPlan>,
-    ) {
-        let Some(plan) = plan else {
-            self.refill_accumulate(problem, trust);
-            return;
-        };
-        self.offsets.clear();
-        self.offsets.extend_from_slice(problem.item_cand_offsets());
-        self.values.resize(problem.num_candidates(), 0.0);
-        self.accumulate_weighted_votes_chunked(problem, trust, Some(plan));
     }
 }
 

@@ -15,7 +15,6 @@
 //!   and no-op days — under pinned tolerances (the splice fast path) and
 //!   recomputed tolerances (the attr-dirty / full-refresh path);
 //! * the standard, per-attribute-trust, and oracle-input-trust option modes;
-//! * composition with intra-day chunking (`with_intra_day_chunks`);
 //! * `RAYON_NUM_THREADS` ∈ {1, 2, 4} and the `FUSION_FORCE_SCALAR` kernel leg
 //!   (via the CI matrix — the assertions themselves are thread-agnostic);
 //! * the planted `datagen::mutation_stream` worlds, where the observed
@@ -50,8 +49,7 @@ fn assert_bit_identical(
     assert_eq!(warm.selected, cold.selected, "{label}: selected diverged");
 }
 
-/// The option sets every sequence is exercised under (mirrors the
-/// chunk-equivalence suite).
+/// The option sets every sequence is exercised under.
 fn option_sets(num_sources: usize) -> Vec<(FusionOptions, &'static str)> {
     let trust: Vec<f64> = (0..num_sources)
         .map(|s| 0.5 + 0.4 * ((s % 7) as f64) / 7.0)
@@ -388,29 +386,6 @@ fn run_all_serves_an_identical_day_from_the_cache() {
         let label = format!("options/{}", method.name());
         assert!(!run.cache_hit, "{label}: changed options must invalidate the cache");
         assert_bit_identical(warm, &method.run(&cold_problem, &per_attr), &label);
-    }
-}
-
-/// The engine composes with intra-day chunking: the chunked warm run equals
-/// the *sequential* cold run bit for bit (chunking is bit-invisible, delta
-/// preparation is bit-invisible, so their composition is too).
-#[test]
-fn exact_mode_composes_with_intra_day_chunking() {
-    let domain = generate(&stock_config(7).scaled(0.008, 0.05));
-    let base = &domain.collection.reference_day().snapshot;
-    let stream = mutation_stream(base, 2, 0.1, 7);
-    let options = FusionOptions::standard().with_intra_day_chunks(3);
-    let sequential = FusionOptions::standard();
-    let mut engine = DeltaEngine::new();
-    for (di, day) in stream.days.iter().enumerate() {
-        engine.advance(day);
-        let cold_problem = FusionProblem::from_snapshot(day);
-        for name in ["Vote", "Cosine", "AccuCopy"] {
-            let method = fusion::method_by_name(name).expect("registered");
-            let (warm, _) = engine.run(method.as_ref(), &options);
-            let cold = method.run(&cold_problem, &sequential);
-            assert_bit_identical(&warm, &cold, &format!("chunked/day={di}/{name}"));
-        }
     }
 }
 
