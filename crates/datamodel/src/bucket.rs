@@ -456,9 +456,10 @@ fn median_into(sorted: &mut Vec<f64>, xs: &[f64]) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    // Plain f64s: an unstable sort yields the same sorted array as the
-    // stable sort `stats::median` uses, hence the same median.
-    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    // `total_cmp` is a total order, so an unstable sort yields the same
+    // sorted array as the stable sort `stats::median` uses, hence the same
+    // median.
+    sorted.sort_unstable_by(f64::total_cmp);
     let n = sorted.len();
     if n % 2 == 1 {
         sorted[n / 2]

@@ -30,7 +30,7 @@ pub fn median(xs: &[f64]) -> f64 {
     if v.is_empty() {
         return 0.0;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    v.sort_by(f64::total_cmp);
     let n = v.len();
     if n % 2 == 1 {
         v[n / 2]
@@ -48,7 +48,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if v.is_empty() {
         return 0.0;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    v.sort_by(f64::total_cmp);
     let p = p.clamp(0.0, 100.0);
     let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
     v[rank.saturating_sub(1).min(v.len() - 1)]
