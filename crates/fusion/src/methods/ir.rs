@@ -248,11 +248,11 @@ fn run_estimates(
         rounds += 1;
         // Complement-aware vote: providers contribute their (difficulty-
         // dampened) trust, non-providers contribute their distrust.
-        for i in 0..votes.num_items() {
+        for (i, &hard) in hardness.iter().enumerate() {
             let item = problem.item(i);
             let dampen = |t: f64| -> f64 {
                 if difficulty {
-                    t * (1.0 - hardness[i]) + 0.5 * hardness[i]
+                    t * (1.0 - hard) + 0.5 * hard
                 } else {
                     t
                 }
