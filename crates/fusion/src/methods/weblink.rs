@@ -236,15 +236,19 @@ fn run_invest(
 
         // Pay the votes back to the investors, proportionally to their share
         // of the investment, each source summing its claims in claim order.
+        // The sum stays in a local: accumulating through the `&mut` slot
+        // makes every claim a store and reload of it.
         let mut new_trust = vec![0.0; problem.num_sources()];
         let grown_votes = votes.values();
         for (s, slot) in new_trust.iter_mut().enumerate() {
+            let mut paid = 0.0;
             for &(i, c) in problem.claims(s) {
                 let g = cand_offsets[i as usize] as usize + c as usize;
                 if total_investment[g] > 0.0 {
-                    *slot += grown_votes[g] * invested[s] / total_investment[g];
+                    paid += grown_votes[g] * invested[s] / total_investment[g];
                 }
             }
+            *slot = paid;
         }
         if !pooled {
             normalize_by_max(&mut new_trust);
