@@ -1,35 +1,24 @@
-//! Chunked-vs-sequential equivalence harness for intra-day parallel fusion.
+//! Degenerate-world equivalence: a fusion run on the smallest shapes does not
+//! depend on the buffers it was handed or on the pool it ran in.
 //!
-//! The contract of `fusion::chunking` is that the intra-day chunk count is
-//! invisible in the output: fixed chunk boundaries plus ordered merges make
-//! every method run **bit-identical** to its sequential run — same selection,
-//! same trust bits, same round count — for any chunk count, any thread count,
-//! and both trust modes. This suite pins that across:
-//!
-//! * all sixteen registry methods;
-//! * chunk counts that do not divide the item count (including more chunks
-//!   than items);
-//! * degenerate shapes — one item, a handful of items, single-candidate
-//!   items, ragged candidate rows;
-//! * `RAYON_NUM_THREADS` ∈ {1, 2, 4} (the pool size changes how chunk tasks
-//!   interleave, never what they compute);
-//! * random seeded collections (proptest) and the kitchen-sink scenario
-//!   world;
-//! * the evaluation-layer plumbing (`evaluate_method_with_chunks` must
-//!   reproduce `evaluate_method` rows, oracle copying included).
+//! Every method runs its rounds as one sequential loop over the reusable
+//! `FusionScratch` buffers, re-shaped for each problem before their first
+//! read. The two worlds here are the edge shapes of that re-shaping — one
+//! item, and a few items with ragged candidate rows (a four-way contested
+//! item, a single-provider item, a unanimous item). The suite pins, for all
+//! sixteen registry methods, three option sets and `RAYON_NUM_THREADS` ∈
+//! {1, 2, 4}, that a run with a fresh scratch is **bit-identical** (same
+//! selection, trust bits, per-attribute trust, rounds and selected values)
+//! to a run whose scratch was first filled by a larger seeded Stock day and
+//! then by every other method. The test names are kept from the suite
+//! these worlds came from, which compared chunked with sequential rounds
+//! before intra-day chunking was removed.
 
-use datagen::scenario::by_name;
 use datagen::{generate, stock_config};
 use datamodel::{AttrId, AttrKind, DomainSchema, ObjectId, Snapshot, SnapshotBuilder, SourceId,
     Value};
-use evaluation::{evaluate_method, evaluate_method_with_chunks, same_results, EvaluationContext};
-use fusion::{all_methods, FusionOptions, FusionProblem};
-use proptest::prelude::*;
+use fusion::{all_methods, FusionOptions, FusionProblem, FusionResult, FusionScratch};
 use std::sync::Arc;
-
-/// Chunk counts chosen to not divide typical item counts, including "more
-/// chunks than anything in the problem".
-const CHUNK_COUNTS: [usize; 4] = [2, 3, 5, 16];
 
 /// Pool sizes the suite re-checks under. The rayon stand-in reads
 /// `RAYON_NUM_THREADS` per call, so an in-process `set_var` takes effect for
@@ -40,46 +29,9 @@ fn set_threads(n: usize) {
     std::env::set_var("RAYON_NUM_THREADS", n.to_string());
 }
 
-/// Run every registry method sequentially and at each chunk count, asserting
-/// bit-identical results (selection, trust bits, per-attribute trust, rounds,
-/// selected values).
-fn assert_all_methods_chunk_invariant(problem: &FusionProblem, base: &FusionOptions, label: &str) {
-    for (_, method) in all_methods() {
-        let sequential = method.run(problem, base);
-        let seq_bits: Vec<u64> = sequential.trust.overall.iter().map(|t| t.to_bits()).collect();
-        for chunks in CHUNK_COUNTS {
-            let opts = base.clone().with_intra_day_chunks(chunks);
-            let chunked = method.run(problem, &opts);
-            let name = &sequential.method;
-            assert_eq!(
-                sequential.selection, chunked.selection,
-                "{label}: {name} selection diverged at {chunks} chunks"
-            );
-            assert_eq!(
-                sequential.rounds, chunked.rounds,
-                "{label}: {name} rounds diverged at {chunks} chunks"
-            );
-            let chunk_bits: Vec<u64> =
-                chunked.trust.overall.iter().map(|t| t.to_bits()).collect();
-            assert_eq!(
-                seq_bits, chunk_bits,
-                "{label}: {name} trust bits diverged at {chunks} chunks"
-            );
-            assert_eq!(
-                sequential.trust.per_attr, chunked.trust.per_attr,
-                "{label}: {name} per-attribute trust diverged at {chunks} chunks"
-            );
-            assert_eq!(
-                sequential.selected, chunked.selected,
-                "{label}: {name} selected values diverged at {chunks} chunks"
-            );
-        }
-    }
-}
-
 /// A one-item snapshot: two sources disagreeing on a single value.
 fn one_item_snapshot() -> Snapshot {
-    let mut schema = DomainSchema::new("chunk-edge");
+    let mut schema = DomainSchema::new("one-item");
     schema.add_attribute("x", AttrKind::Numeric { scale: 100.0 }, false);
     schema.add_source("a", false);
     schema.add_source("b", false);
@@ -90,10 +42,9 @@ fn one_item_snapshot() -> Snapshot {
 }
 
 /// A few-item snapshot with ragged candidate rows: a four-way contested item,
-/// a single-provider item, and a unanimous two-provider item — fewer items
-/// than most chunk counts in [`CHUNK_COUNTS`].
+/// a single-provider item, and a unanimous two-provider item.
 fn ragged_snapshot() -> Snapshot {
-    let mut schema = DomainSchema::new("chunk-ragged");
+    let mut schema = DomainSchema::new("ragged");
     schema.add_attribute("x", AttrKind::Numeric { scale: 100.0 }, false);
     for name in ["a", "b", "c", "d"] {
         schema.add_source(name, false);
@@ -113,7 +64,7 @@ fn ragged_snapshot() -> Snapshot {
     b.build(Arc::new(schema))
 }
 
-/// The option sets every fixture is exercised under: standard, per-attribute
+/// The option sets every world is exercised under: standard, per-attribute
 /// trust, and oracle input trust.
 fn option_sets(num_sources: usize) -> Vec<(FusionOptions, &'static str)> {
     let trust: Vec<f64> = (0..num_sources)
@@ -132,96 +83,58 @@ fn option_sets(num_sources: usize) -> Vec<(FusionOptions, &'static str)> {
     ]
 }
 
-fn assert_snapshot_chunk_invariant(snapshot: &Snapshot, label: &str) {
+/// A scratch whose buffers every registry method has already filled on the
+/// first day of a small seeded Stock world — more sources, items and
+/// candidates than either degenerate world.
+fn warm_scratch() -> FusionScratch {
+    let domain = generate(&stock_config(2012).scaled(0.01, 0.05));
+    let larger = FusionProblem::from_snapshot(&domain.collection.day(0).snapshot);
+    let mut scratch = FusionScratch::new();
+    for (_, method) in all_methods() {
+        method.run_with_scratch(&larger, &FusionOptions::standard(), &mut scratch);
+    }
+    scratch
+}
+
+fn assert_same_bits(fresh: &FusionResult, warm: &FusionResult, label: &str) {
+    let name = &fresh.method;
+    assert_eq!(fresh.selection, warm.selection, "{label}: {name} selection diverged");
+    assert_eq!(fresh.rounds, warm.rounds, "{label}: {name} rounds diverged");
+    let bits = |r: &FusionResult| -> Vec<u64> {
+        r.trust.overall.iter().map(|t| t.to_bits()).collect()
+    };
+    assert_eq!(bits(fresh), bits(warm), "{label}: {name} trust bits diverged");
+    assert_eq!(
+        fresh.trust.per_attr, warm.trust.per_attr,
+        "{label}: {name} per-attribute trust diverged"
+    );
+    assert_eq!(fresh.selected, warm.selected, "{label}: {name} selected values diverged");
+}
+
+/// Every method, option set and pool size: a fresh-scratch run equals a run
+/// on the warm scratch, which each method then hands on to the next.
+fn assert_world_invariant(snapshot: &Snapshot, label: &str) {
     let problem = FusionProblem::from_snapshot(snapshot);
     for threads in THREAD_COUNTS {
         set_threads(threads);
+        let mut scratch = warm_scratch();
         for (opts, mode) in option_sets(problem.num_sources()) {
-            assert_all_methods_chunk_invariant(
-                &problem,
-                &opts,
-                &format!("{label}/{mode}/threads={threads}"),
-            );
+            for (_, method) in all_methods() {
+                let fresh = method.run(&problem, &opts);
+                let warm = method.run_with_scratch(&problem, &opts, &mut scratch);
+                assert!(!fresh.selection.is_empty(), "{label}: empty selection");
+                assert_same_bits(&fresh, &warm, &format!("{label}/{mode}/threads={threads}"));
+            }
         }
     }
 }
 
 #[test]
 fn one_item_world_is_chunk_invariant() {
-    assert_snapshot_chunk_invariant(&one_item_snapshot(), "one-item");
+    assert_world_invariant(&one_item_snapshot(), "one-item");
 }
 
 #[test]
 fn ragged_few_item_world_is_chunk_invariant() {
-    assert_snapshot_chunk_invariant(&ragged_snapshot(), "ragged");
-}
-
-#[test]
-fn kitchen_sink_reference_day_is_chunk_invariant() {
-    let world = by_name("kitchen_sink").expect("kitchen_sink scenario").build();
-    let day = world.domain.collection.reference_day();
-    let problem = FusionProblem::from_snapshot(&day.snapshot);
-    for threads in THREAD_COUNTS {
-        set_threads(threads);
-        assert_all_methods_chunk_invariant(
-            &problem,
-            &FusionOptions::standard(),
-            &format!("kitchen-sink/threads={threads}"),
-        );
-    }
-}
-
-/// The evaluation layer forwards the chunk count to both the without-trust
-/// and the with-trust (oracle copying included) runs; rows must not change.
-#[test]
-fn evaluation_rows_are_chunk_invariant() {
-    let domain = generate(&stock_config(2012).scaled(0.02, 0.1));
-    let day = domain.collection.reference_day();
-    let report = copydetect::known_copying(day.snapshot.schema());
-    let context = EvaluationContext::new(&day.snapshot, &day.gold).with_known_copying(&report);
-    for threads in THREAD_COUNTS {
-        set_threads(threads);
-        for (category, method) in all_methods() {
-            let sequential = evaluate_method(&context, category, method.as_ref());
-            for chunks in [3usize, 8] {
-                let chunked =
-                    evaluate_method_with_chunks(&context, category, method.as_ref(), chunks);
-                assert!(
-                    same_results(
-                        std::slice::from_ref(&sequential),
-                        std::slice::from_ref(&chunked)
-                    ),
-                    "{} row diverged at {chunks} chunks, {threads} threads",
-                    sequential.method
-                );
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Random seeded worlds: every method, every chunk count, every pool
-    /// size produces the sequential bits.
-    #[test]
-    fn random_worlds_are_chunk_invariant(
-        seed in 0u64..10_000,
-        scale in 0.004f64..0.012,
-    ) {
-        let domain = generate(&stock_config(seed).scaled(scale, 0.05));
-        let day = domain.collection.reference_day();
-        let problem = FusionProblem::from_snapshot(&day.snapshot);
-        prop_assert!(problem.num_items() >= 1);
-        for threads in THREAD_COUNTS {
-            set_threads(threads);
-            for (opts, mode) in option_sets(problem.num_sources()) {
-                assert_all_methods_chunk_invariant(
-                    &problem,
-                    &opts,
-                    &format!("seed={seed}/{mode}/threads={threads}"),
-                );
-            }
-        }
-    }
+    assert_world_invariant(&ragged_snapshot(), "ragged");
 }
