@@ -4,29 +4,27 @@
 //! layouts — overall (one `Vec<f64>` gather) and per-attribute (`*ATTR`,
 //! flat SoA `source * num_attrs + attr` reads).
 //!
-//! Since the explicit SIMD kernel layer landed, each walk is benchmarked
-//! three ways, which is the ISSUE-6 keep/drop gate for the kernels ("only
-//! keep it if it beats the autovectorizer"):
+//! Each walk is benchmarked two ways, the keep/drop gate for the
+//! hand-written kernels of [`fusion::kernels`] ("only keep it if it beats
+//! the autovectorizer"):
 //!
-//! - `kernel/<dispatched>` — the plane methods as shipped, dispatching to
-//!   the AVX2+FMA kernels where the CPU supports them;
-//! - `kernel_scalar` — the same entry points with
-//!   [`fusion::kernels::force_backend`] pinning the portable fallback;
+//! - `kernel` — the plane methods and kernels as shipped (one portable
+//!   scalar implementation, unrolled where it pays);
 //! - `autovec` — an inline reimplementation of the pre-kernel nested-view
 //!   loop, left to the compiler's autovectorizer.
 //!
 //! The `argmax` bench covers the per-round selection walk over the same
-//! offsets.
+//! offsets; the rescaler benches cover the contiguous per-round
+//! normalizations of the web-link and IR methods.
 //!
 //! The `vote_plane_long_rows` group re-runs the CSR-walk gate on the
 //! `scale10_capacity` scenario world (80 high-coverage sources, ~75-provider
-//! rows vs the base Stock's ~40) — the ROADMAP asks whether longer provider
-//! rows flip the PR-6 verdict that dropped the gather-based lock-step
-//! kernels.
+//! rows vs the base Stock's ~40), to check whether longer provider rows
+//! change the verdict against gather-based lock-step kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use datagen::{generate, stock_config};
-use fusion::kernels::{self, Backend};
+use fusion::kernels;
 use fusion::{FusionProblem, TrustEstimate, VotePlane};
 
 /// The pre-kernel accumulation loop, verbatim: nested item/candidate views,
@@ -85,34 +83,19 @@ fn make_trusts(problem: &FusionProblem) -> (TrustEstimate, TrustEstimate) {
     (overall, per_attr)
 }
 
-/// The three-way CSR-walk gate (dispatched kernel vs pinned scalar vs
-/// autovectorized pre-kernel loop) over one prepared problem: the
-/// trust-weighted accumulation in both trust layouts, the argmax selection,
-/// and the per-source claim-score sums.
+/// The two-way CSR-walk gate (kernel vs autovectorized pre-kernel loop)
+/// over one prepared problem: the trust-weighted accumulation in both trust
+/// layouts, the argmax selection, and the per-source claim-score sums.
 fn csr_walk_benches(group: &mut BenchmarkGroup<'_>, problem: &FusionProblem) {
     let (overall, per_attr) = make_trusts(problem);
-    let dispatched = kernels::backend();
 
     for (trust, label) in [(&overall, "overall_trust"), (&per_attr, "per_attribute_trust")] {
-        group.bench_function(
-            format!("weighted_votes_{label}/kernel_{}", kernels::backend_name()),
-            |b| {
-                kernels::force_backend(dispatched);
-                let mut plane = VotePlane::for_problem(problem);
-                b.iter(|| {
-                    plane.accumulate_weighted_votes(problem, trust);
-                    plane.values().iter().sum::<f64>()
-                })
-            },
-        );
-        group.bench_function(format!("weighted_votes_{label}/kernel_scalar"), |b| {
-            kernels::force_backend(Backend::Scalar);
+        group.bench_function(format!("weighted_votes_{label}/kernel"), |b| {
             let mut plane = VotePlane::for_problem(problem);
             b.iter(|| {
                 plane.accumulate_weighted_votes(problem, trust);
                 plane.values().iter().sum::<f64>()
-            });
-            kernels::force_backend(dispatched);
+            })
         });
         group.bench_function(format!("weighted_votes_{label}/autovec"), |b| {
             let mut values = vec![0.0; problem.num_candidates()];
@@ -126,27 +109,14 @@ fn csr_walk_benches(group: &mut BenchmarkGroup<'_>, problem: &FusionProblem) {
 
     let mut plane = VotePlane::for_problem(problem);
     plane.accumulate_weighted_votes(problem, &overall);
-    group.bench_function(
-        format!("argmax_selection_into/kernel_{}", kernels::backend_name()),
-        |b| {
-            kernels::force_backend(dispatched);
-            let mut selection = Vec::new();
-            b.iter(|| {
-                plane.argmax_into(&mut selection);
-                selection.len()
-            })
-        },
-    );
-    group.bench_function("argmax_selection_into/kernel_scalar", |b| {
-        kernels::force_backend(Backend::Scalar);
+    group.bench_function("argmax_into/kernel", |b| {
         let mut selection = Vec::new();
         b.iter(|| {
             plane.argmax_into(&mut selection);
             selection.len()
-        });
-        kernels::force_backend(dispatched);
+        })
     });
-    group.bench_function("argmax_selection_into/autovec", |b| {
+    group.bench_function("argmax_into/autovec", |b| {
         let mut selection = Vec::new();
         b.iter(|| {
             autovec_argmax(plane.offsets(), plane.values(), &mut selection);
@@ -158,27 +128,13 @@ fn csr_walk_benches(group: &mut BenchmarkGroup<'_>, problem: &FusionProblem) {
         .claims_by_source()
         .map(<[(u32, u32)]>::to_vec)
         .collect();
-    group.bench_function(
-        format!("sum_claim_scores/kernel_{}", kernels::backend_name()),
-        |b| {
-            kernels::force_backend(dispatched);
-            b.iter(|| {
-                claims
-                    .iter()
-                    .map(|cl| kernels::sum_claim_scores(cl, plane.offsets(), plane.values()))
-                    .sum::<f64>()
-            })
-        },
-    );
-    group.bench_function("sum_claim_scores/kernel_scalar", |b| {
-        kernels::force_backend(Backend::Scalar);
+    group.bench_function("sum_claim_scores/kernel", |b| {
         b.iter(|| {
             claims
                 .iter()
                 .map(|cl| kernels::sum_claim_scores(cl, plane.offsets(), plane.values()))
                 .sum::<f64>()
-        });
-        kernels::force_backend(dispatched);
+        })
     });
     group.bench_function("sum_claim_scores/autovec", |b| {
         b.iter(|| {
@@ -197,36 +153,22 @@ fn csr_walk_benches(group: &mut BenchmarkGroup<'_>, problem: &FusionProblem) {
 fn bench_vote_plane(c: &mut Criterion) {
     let stock = generate(&stock_config(2012).scaled(0.25, 0.1));
     let problem = FusionProblem::from_snapshot(stock.reference_snapshot());
-    let dispatched = kernels::backend();
 
     let mut group = c.benchmark_group("vote_plane");
     csr_walk_benches(&mut group, &problem);
 
     // Elementwise rescalers over the full contiguous plane (the web-link /
-    // IR per-round normalization), kernel backends vs the pre-kernel loops.
+    // IR per-round normalization), kernels vs the pre-kernel loops.
     let (overall, _) = make_trusts(&problem);
     let mut plane = VotePlane::for_problem(&problem);
     plane.accumulate_weighted_votes(&problem, &overall);
     let mut scratch = plane.values().to_vec();
-    group.bench_function(
-        format!("normalize_by_max/kernel_{}", kernels::backend_name()),
-        |b| {
-            kernels::force_backend(dispatched);
-            b.iter(|| {
-                scratch.copy_from_slice(plane.values());
-                fusion::types::normalize_by_max(&mut scratch);
-                scratch[0]
-            })
-        },
-    );
-    group.bench_function("normalize_by_max/kernel_scalar", |b| {
-        kernels::force_backend(Backend::Scalar);
+    group.bench_function("normalize_by_max/kernel", |b| {
         b.iter(|| {
             scratch.copy_from_slice(plane.values());
-            fusion::types::normalize_by_max(&mut scratch);
+            kernels::normalize_by_max(&mut scratch);
             scratch[0]
-        });
-        kernels::force_backend(dispatched);
+        })
     });
     group.bench_function("normalize_by_max/autovec", |b| {
         b.iter(|| {
@@ -240,25 +182,12 @@ fn bench_vote_plane(c: &mut Criterion) {
             scratch[0]
         })
     });
-    group.bench_function(
-        format!("rescale_to_unit/kernel_{}", kernels::backend_name()),
-        |b| {
-            kernels::force_backend(dispatched);
-            b.iter(|| {
-                scratch.copy_from_slice(plane.values());
-                fusion::types::rescale_to_unit(&mut scratch);
-                scratch[0]
-            })
-        },
-    );
-    group.bench_function("rescale_to_unit/kernel_scalar", |b| {
-        kernels::force_backend(Backend::Scalar);
+    group.bench_function("rescale_to_unit/kernel", |b| {
         b.iter(|| {
             scratch.copy_from_slice(plane.values());
-            fusion::types::rescale_to_unit(&mut scratch);
+            kernels::rescale_to_unit(&mut scratch);
             scratch[0]
-        });
-        kernels::force_backend(dispatched);
+        })
     });
     group.bench_function("rescale_to_unit/autovec", |b| {
         b.iter(|| {

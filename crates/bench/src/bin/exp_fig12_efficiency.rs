@@ -22,11 +22,11 @@
 //! invalid instead of printed. Both passes must agree on every result row
 //! (fusion is deterministic); the binary asserts that.
 //!
-//! The artifact also records which fusion kernel backend the run dispatched
-//! to (`avx2+fma` / `scalar`), the detected CPU features, and the thread
-//! budget (`rayon_threads` / `available_parallelism`), so trajectory points
-//! from machines with different vector units or core counts are not silently
-//! compared as like-for-like.
+//! The artifact also records the fusion kernel backend (always `scalar`;
+//! older artifacts may name a vector backend), the target architecture, and
+//! the thread budget (`rayon_threads` / `available_parallelism`), so
+//! trajectory points from different machines or core counts are not
+//! silently compared as like-for-like.
 //!
 //! The artifact also carries a `delta` record: a dirty-fraction sweep (1%,
 //! 10%, 50% changed claims per day) comparing the warm
@@ -408,7 +408,7 @@ fn main() {
     let flight_json = report(&flight, args.repeats);
     let delta = delta_report(&args, args.repeats);
     println!(
-        "Kernels: dispatched to the {} backend (CPU features: {})",
+        "Kernels: the {} backend (target: {})",
         fusion::kernels::backend_name(),
         fusion::kernels::detected_cpu_features(),
     );

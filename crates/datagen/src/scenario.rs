@@ -109,7 +109,7 @@ pub struct Scenario {
     /// Format-drift knob.
     pub drift: Option<DriftKnob>,
     /// Extra independent high-coverage sources appended to lengthen every
-    /// item's provider row (the long-row axis of the SIMD gate).
+    /// item's provider row (the long-row axis of the `vote_plane` bench).
     pub extra_sources: u32,
 }
 
@@ -475,7 +475,7 @@ pub fn by_name(name: &str) -> Option<Scenario> {
             .with_format_drift(10, 1e-3, 1.8),
         // The capacity/long-row axis: golden default stays CI-sized, but the
         // same scenario scaled to 10 reaches ~160k items/day with ~80-source
-        // provider rows (the SIMD gate workload).
+        // provider rows (the `vote_plane` long-row workload).
         "scale10_capacity" => Scenario::new(name)
             .scaled_to(0.1)
             .over_days(2)

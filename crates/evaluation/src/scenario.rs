@@ -83,8 +83,8 @@ pub fn evaluate_scenario_day(
 
 /// Render the outcome as the golden-table text format: integer counts, six
 /// fixed decimals for every rate, one method per line. The format is stable
-/// by construction — bit-identical output across debug/release and kernel
-/// backends is what the golden suite asserts.
+/// by construction — bit-identical output across debug/release builds and
+/// rayon pool sizes is what the golden suite asserts.
 pub fn render_golden_table(outcome: &ScenarioOutcome) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "scenario: {}", outcome.name);

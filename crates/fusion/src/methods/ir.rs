@@ -36,9 +36,10 @@
 //! candidate index, so the problem's layout check requires `2 ×
 //! num_candidates` to fit a `u32`.
 
+use crate::kernels::rescale_to_unit;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
-use crate::types::{rescale_to_unit, FusionOptions, FusionResult, FusionScratch, TrustEstimate};
+use crate::types::{FusionOptions, FusionResult, FusionScratch, TrustEstimate};
 use std::time::Instant;
 
 /// COSINE: source trust is the cosine similarity between the source's ±1

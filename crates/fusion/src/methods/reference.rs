@@ -9,13 +9,14 @@
 //! on purpose. (It reads the problem through the thin slice views — the only
 //! access path that still exists — but every per-round structure it builds is
 //! the original nested one, and its private helpers are verbatim copies of
-//! the pre-flattening `argmax_selection` and `update_trust_from_scores`.)
+//! the pre-flattening argmax selection and `update_trust_from_scores`.)
 //!
 //! The same file freezes the INVEST / POOLEDINVEST, 2-/3-ESTIMATES,
 //! COSINE, ACCU-family and TRUTHFINDER round loops as they were before their
 //! per-claim rewrites, and the tests at the bottom assert the live methods
 //! reproduce them bit for bit.
 
+use crate::kernels::{normalize_by_max, rescale_to_unit};
 use crate::methods::bayesian::{
     clamp_trust, softmax_into, update_trust_from_scores, Accu, AccuVariant, TruthFinder,
 };
@@ -23,10 +24,7 @@ use crate::methods::copyaware::AccuCopy;
 use crate::methods::ir::Cosine;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::{FusionProblem, PreparedItem};
-use crate::types::{
-    normalize_by_max, rescale_to_unit, AttrTrust, FusionOptions, FusionResult, FusionScratch,
-    TrustEstimate,
-};
+use crate::types::{AttrTrust, FusionOptions, FusionResult, FusionScratch, TrustEstimate};
 use std::collections::BTreeMap;
 use std::time::Instant;
 

@@ -13,9 +13,10 @@
 //! drifts far away from sampled accuracies, reproducing the large trust
 //! deviation the paper reports for it).
 
+use crate::kernels::normalize_by_max;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
-use crate::types::{normalize_by_max, FusionOptions, FusionResult, FusionScratch, TrustEstimate};
+use crate::types::{FusionOptions, FusionResult, FusionScratch, TrustEstimate};
 use std::time::Instant;
 
 /// HUB (Kleinberg-style sums): a value's vote is the sum of its providers'

@@ -779,7 +779,7 @@ impl FusionProblem {
 
     /// Dense attribute index per global candidate (`num_candidates` entries:
     /// the owning item's attribute, repeated). Raw CSR table for the
-    /// kernel-level consumers (SIMD kernels, benches, tests).
+    /// kernel-level consumers (kernels, benches, tests).
     #[inline]
     pub fn cand_attrs(&self) -> &[u32] {
         &self.cand_attrs

@@ -274,7 +274,7 @@ impl VotePlane {
 
     /// The item → candidate offset table (`num_items + 1` entries), shared
     /// layout with [`FusionProblem::item_cand_offsets`]. Exposed for the
-    /// kernel-level consumers (SIMD kernels, benches, tests).
+    /// kernel-level consumers (kernels, benches, tests).
     #[inline]
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
@@ -294,7 +294,7 @@ impl VotePlane {
     /// Accumulate trust-weighted vote counts over `problem`:
     /// `votes[item][candidate] = Σ_{s ∈ providers} trust(s, attr(item))`.
     /// Every slot is overwritten; the plane layout must match `problem`.
-    /// Dispatches to the SIMD kernels of [`crate::kernels`].
+    /// Runs the kernels of [`crate::kernels`].
     pub fn accumulate_weighted_votes(&mut self, problem: &FusionProblem, trust: &TrustEstimate) {
         debug_assert_eq!(self.num_items(), problem.num_items());
         let view = match &trust.per_attr {
@@ -333,24 +333,10 @@ impl VotePlane {
     /// Select, for every item, the candidate with the highest vote, writing
     /// into `selection` (allocation reused). Ties go to the lower candidate
     /// index (the better-supported bucket), which keeps the output
-    /// deterministic. Dispatches to the SIMD kernels of [`crate::kernels`].
+    /// deterministic. Runs the kernels of [`crate::kernels`].
     pub fn argmax_into(&self, selection: &mut Vec<usize>) {
         kernels::argmax_into(&self.offsets, &self.values, selection);
     }
-}
-
-/// Select, for every item, the candidate with the highest vote (see
-/// [`VotePlane::argmax_into`]).
-pub fn argmax_selection(votes: &VotePlane) -> Vec<usize> {
-    let mut selection = Vec::new();
-    votes.argmax_into(&mut selection);
-    selection
-}
-
-/// In-place variant of [`argmax_selection`] for iterative methods that
-/// re-select every round: reuses `selection`'s allocation.
-pub fn argmax_selection_into(votes: &VotePlane, selection: &mut Vec<usize>) {
-    votes.argmax_into(selection);
 }
 
 /// Reusable accumulators for the per-round trust updates: one slot per
@@ -488,20 +474,6 @@ impl FusionResult {
     }
 }
 
-/// Normalize a slice in place by its maximum (no-op when the maximum is not
-/// positive). Used by the web-link methods to prevent unbounded growth.
-/// Dispatches to the SIMD kernels of [`crate::kernels`].
-pub fn normalize_by_max(xs: &mut [f64]) {
-    kernels::normalize_by_max(xs);
-}
-
-/// Affine rescaling of a slice to `[0, 1]` (the normalization 2-ESTIMATES and
-/// 3-ESTIMATES require). Constant slices map to 0.5. Dispatches to the SIMD
-/// kernels of [`crate::kernels`].
-pub fn rescale_to_unit(xs: &mut [f64]) {
-    kernels::rescale_to_unit(xs);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,11 +539,11 @@ mod tests {
     #[test]
     fn argmax_is_deterministic_on_ties() {
         let votes = VotePlane::from_rows(&[vec![1.0, 1.0, 0.5], vec![0.1, 0.9]]);
-        assert_eq!(argmax_selection(&votes), vec![0, 1]);
-        assert_eq!(
-            argmax_selection(&VotePlane::from_rows(&[])),
-            Vec::<usize>::new()
-        );
+        let mut selection = vec![7; 5];
+        votes.argmax_into(&mut selection);
+        assert_eq!(selection, vec![0, 1]);
+        VotePlane::from_rows(&[]).argmax_into(&mut selection);
+        assert_eq!(selection, Vec::<usize>::new());
     }
 
     #[test]
@@ -589,6 +561,8 @@ mod tests {
 
     #[test]
     fn normalization_helpers() {
+        use kernels::{normalize_by_max, rescale_to_unit};
+
         let mut xs = vec![2.0, 4.0, 1.0];
         normalize_by_max(&mut xs);
         assert_eq!(xs, vec![0.5, 1.0, 0.25]);

@@ -15,8 +15,8 @@
 //!   and no-op days — under pinned tolerances (the splice fast path) and
 //!   recomputed tolerances (the attr-dirty / full-refresh path);
 //! * the standard, per-attribute-trust, and oracle-input-trust option modes;
-//! * `RAYON_NUM_THREADS` ∈ {1, 2, 4} and the `FUSION_FORCE_SCALAR` kernel leg
-//!   (via the CI matrix — the assertions themselves are thread-agnostic);
+//! * `RAYON_NUM_THREADS` ∈ {1, 2, 4} (via the CI matrix — the assertions
+//!   themselves are thread-agnostic);
 //! * the planted `datagen::mutation_stream` worlds, where the observed
 //!   `SnapshotDelta` must equal the planted dirty set exactly.
 

@@ -12,10 +12,9 @@
 //! ```
 //!
 //! after which the diff of `tests/golden/*.txt` documents the behaviour
-//! change in review. The rendering uses fixed `{:.6}` formatting and the
-//! fusion kernels are bit-identical across backends, so the same tables hold
-//! in debug, release, and `FUSION_FORCE_SCALAR=1` runs (CI exercises all
-//! three).
+//! change in review. The rendering uses fixed `{:.6}` formatting and fusion
+//! is deterministic at any pool size, so the same tables hold in debug and
+//! release runs and at any `RAYON_NUM_THREADS` (CI pins 1 and 2).
 
 use datagen::scenario::by_name;
 use evaluation::{evaluate_scenario_day, render_golden_table};
